@@ -35,8 +35,9 @@ Tolerance manifest format (``tolerances.json``)::
 A report whose baseline file does not exist is a hard failure: a typo'd
 baseline name (or a bench renamed without ``--update``) must not pass
 the gate silently.  ``--allow-missing-baseline`` restores the old skip
-behaviour for bootstrap runs of brand-new benches.  Tolerance-manifest
-entries naming a baseline that does not exist fail for the same reason.
+behaviour for bootstrap runs of brand-new benches, but a report that is
+missing or cannot be read always fails.  Tolerance-manifest entries
+naming a baseline that does not exist fail for the same reason.
 
 Usage:
   bench_compare.py [--baseline-dir DIR] [--allow-missing-baseline]
@@ -152,6 +153,9 @@ def compare(
     tolerances: dict,
     args: argparse.Namespace,
 ) -> bool:
+    # Read the report first: a missing or unreadable report is an error
+    # even when its baseline would be skipped.
+    cand = load_report(report_path)
     baseline_path = baseline_dir / report_path.name
     if not baseline_path.exists():
         message = (
@@ -169,7 +173,6 @@ def compare(
         return False
 
     base = load_report(baseline_path)
-    cand = load_report(report_path)
     errors: list = []
     warnings: list = []
     notes: list = []

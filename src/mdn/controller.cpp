@@ -28,6 +28,7 @@ MdnController::MdnController(net::EventLoop& loop,
       detector_(with_block_size(config.detector, config.hop_s,
                                 channel.sample_rate())),
       microphone_(config.microphone, channel.sample_rate()),
+      matcher_({}, detector_.config().match_tolerance_hz),
       recording_(channel.sample_rate()) {
   auto& registry = obs::Registry::global();
   blocks_counter_ = &registry.counter("mdn/controller/blocks");
@@ -39,12 +40,14 @@ MdnController::MdnController(net::EventLoop& loop,
 }
 
 void MdnController::watch(double frequency_hz, Handler handler) {
-  watches_.push_back({frequency_hz, std::move(handler), false});
+  matcher_.add(frequency_hz);
+  handlers_.push_back(std::move(handler));
+  active_.push_back(0);
 }
 
 void MdnController::watch_all(std::span<const double> watch_hz,
                               Handler handler) {
-  for (double f : watch_hz) watches_.push_back({f, handler, false});
+  for (double f : watch_hz) watch(f, handler);
 }
 
 void MdnController::observe_blocks(BlockObserver observer) {
@@ -136,69 +139,39 @@ bool MdnController::tick() {
     est->begin_block(now_s, stats);
   }
 
-  // Stage 3: match detected peaks against the watch list.
+  // Stage 3: match detected peaks against the watch list.  Onsets are
+  // journaled, logged and dispatched in watch order; the estimator's
+  // evidence is upgraded from the emission tag to the detection record.
   {
     obs::TraceSpan span(&tracer, "controller/match", trace_track_, sim_now);
     obs::ScopedTimerNs timer(match_wall_ns_);
-    for (std::size_t wi = 0; wi < watches_.size(); ++wi) {
-      Watch& w = watches_[wi];
-      double best_amp = 0.0;
-      bool found = false;
-      for (const auto& t : tones) {
-        if (std::abs(t.frequency_hz - w.frequency_hz) <=
-            detector_.config().match_tolerance_hz) {
-          found = true;
-          best_amp = std::max(best_amp, t.amplitude);
-        }
-      }
-      // Ground-truth evidence for the health estimator: the overlapping
-      // emission tag (upgraded to the detection record below on onset).
-      obs::CauseId watch_evidence = 0;
-      if (est != nullptr && found) {
-        for (std::size_t t = 0; t < ntags; ++t) {
-          if (std::abs(tag_scratch_[t].frequency_hz - w.frequency_hz) <=
-              detector_.config().match_tolerance_hz) {
-            watch_evidence = tag_scratch_[t].cause;
-            break;
+    matcher_.match(
+        tones, std::span<const audio::EmissionTag>(tag_scratch_.data(), ntags),
+        active_, est,
+        [&](std::size_t wi, double hz, double amplitude, obs::CauseId cause) {
+          ToneEvent event{start_s, hz, amplitude};
+          if (journal.enabled()) {
+            // Detection record: cite the emitted tone whose frequency
+            // this watch matched, when one overlapped the block (else 0
+            // — a false positive the scoreboard will count).
+            obs::JournalRecord rec;
+            rec.kind = obs::JournalKind::kToneDetected;
+            rec.sim_ns = sim_now;
+            rec.frequency_hz = hz;
+            rec.value = amplitude;
+            rec.mic = config_.sink_mic;
+            rec.watch = static_cast<std::int32_t>(wi);
+            rec.cause = cause;
+            rec.cause2 = ingest_id;
+            obs::set_journal_label(rec, "onset");
+            event.cause = journal.append(rec);
           }
-        }
-      }
-      const bool onset = found && !w.active;
-      if (onset) {
-        ToneEvent event{start_s, w.frequency_hz, best_amp};
-        if (journal.enabled()) {
-          // Detection record: cite the emitted tone whose frequency this
-          // watch matched, when one overlapped the block (else 0 — a
-          // false positive the scoreboard will count).
-          obs::JournalRecord rec;
-          rec.kind = obs::JournalKind::kToneDetected;
-          rec.sim_ns = sim_now;
-          rec.frequency_hz = w.frequency_hz;
-          rec.value = best_amp;
-          rec.mic = config_.sink_mic;
-          rec.watch = static_cast<std::int32_t>(wi);
-          rec.cause2 = ingest_id;
-          for (std::size_t t = 0; t < ntags; ++t) {
-            if (std::abs(tag_scratch_[t].frequency_hz - w.frequency_hz) <=
-                detector_.config().match_tolerance_hz) {
-              rec.cause = tag_scratch_[t].cause;
-              break;
-            }
-          }
-          obs::set_journal_label(rec, "onset");
-          event.cause = journal.append(rec);
-          if (event.cause != 0) watch_evidence = event.cause;
-        }
-        log_.push_back(event);
-        onsets_counter_->inc();
-        tracer.instant("onset", trace_track_, sim_now);
-        if (w.handler) w.handler(event);
-      }
-      if (est != nullptr) {
-        est->observe_watch(wi, found, onset, best_amp, watch_evidence);
-      }
-      w.active = found;
-    }
+          log_.push_back(event);
+          onsets_counter_->inc();
+          tracer.instant("onset", trace_track_, sim_now);
+          if (handlers_[wi]) handlers_[wi](event);
+          return event.cause != 0 ? event.cause : cause;
+        });
   }
   if (est != nullptr) {
     est->end_block();

@@ -88,12 +88,6 @@ class MdnController {
   std::uint64_t blocks_processed() const noexcept { return blocks_; }
 
  private:
-  struct Watch {
-    double frequency_hz;
-    Handler handler;
-    bool active = false;  // present in the previous block
-  };
-
   bool tick();
 
   net::EventLoop& loop_;
@@ -101,7 +95,9 @@ class MdnController {
   Config config_;
   ToneDetector detector_;
   audio::Microphone microphone_;
-  std::vector<Watch> watches_;
+  WatchMatcher matcher_;
+  std::vector<Handler> handlers_;  // one per watch, in watch order
+  std::vector<char> active_;       // watch present in the previous block
   std::vector<BlockObserver> block_observers_;
   std::vector<DetectedTone> tones_scratch_;  // reused by tick()
   // Ground-truth emission tags overlapping the current block, collected

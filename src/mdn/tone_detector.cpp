@@ -311,29 +311,21 @@ std::vector<ToneEvent> extract_tone_events(
       std::llround(hop_s * recording.sample_rate()));
   if (hop == 0 || recording.empty()) return events;
 
-  std::vector<bool> active(watch_hz.size(), false);
+  const WatchMatcher matcher({watch_hz.begin(), watch_hz.end()},
+                             detector.config().match_tolerance_hz);
+  std::vector<char> active(watch_hz.size(), 0);
   std::vector<DetectedTone> tones;
   for (std::size_t start = 0; start < recording.size(); start += hop) {
     const std::size_t len = std::min(hop, recording.size() - start);
     const auto block = recording.samples().subspan(start, len);
     detector.detect_into(block, tones);
     const double t = static_cast<double>(start) / recording.sample_rate();
-
-    for (std::size_t i = 0; i < watch_hz.size(); ++i) {
-      double best_amp = 0.0;
-      bool found = false;
-      for (const auto& tone : tones) {
-        if (std::abs(tone.frequency_hz - watch_hz[i]) <=
-            detector.config().match_tolerance_hz) {
-          found = true;
-          best_amp = std::max(best_amp, tone.amplitude);
-        }
-      }
-      if (found && !active[i]) {
-        events.push_back({t, watch_hz[i], best_amp});
-      }
-      active[i] = found;
-    }
+    matcher.match(tones, {}, active, nullptr,
+                  [&](std::size_t, double hz, double amplitude,
+                      obs::CauseId) -> obs::CauseId {
+                    events.push_back({t, hz, amplitude});
+                    return 0;
+                  });
   }
   return events;
 }

@@ -6,8 +6,11 @@
 //   * detect() / detect_into() — open-set peak picking over a block;
 //   * set_levels()  — closed-set Goertzel evaluation of known frequencies
 //                     (cheaper when the watch list is small, e.g. §6).
-// extract_tone_events() turns a whole recording into onset events, which
-// is what the FSM (§4) and telemetry counters (§5) consume.
+// WatchMatcher maps each block's peaks onto the watched frequencies and
+// reports onsets; it is the one matching step behind the inline
+// MdnController (whose onsets feed the FSM, §4, and the telemetry
+// counters, §5), the rt::StreamRuntime workers and the offline
+// extract_tone_events(), which scans a whole recording.
 //
 // The detector follows the plan layer's "plan cold, execute hot" rule:
 // the FFT plan and both analysis windows (full FFT-size and expected
@@ -18,11 +21,15 @@
 // so one detector may serve many threads concurrently.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
+#include "audio/emission_tag.h"
 #include "audio/waveform.h"
 #include "common/annotations.h"
 #include "dsp/fft_plan.h"
@@ -172,9 +179,72 @@ struct ToneEvent {
   std::uint64_t cause = 0;
 };
 
-/// Scans `recording` in hops of `hop_s`, reporting an event each time a
-/// watched frequency transitions from absent to present (onset
-/// semantics: a tone spanning several blocks yields one event).
+/// Matches one block's detected tones against a watch list — the
+/// per-block job of the inline controller, the rt workers and
+/// extract_tone_events().  The list is fixed while matching, so worker
+/// threads share one const matcher; each caller owns the per-mic
+/// `active` flags (watch present in the previous block).
+class WatchMatcher {
+ public:
+  WatchMatcher(std::vector<double> watch_hz, double tolerance_hz)
+      : watch_hz_(std::move(watch_hz)), tolerance_hz_(tolerance_hz) {}
+
+  /// Appends a watch; its index is the previous size().
+  void add(double frequency_hz) { watch_hz_.push_back(frequency_hz); }
+  std::size_t size() const noexcept { return watch_hz_.size(); }
+
+  /// For each watch in index order: (1) it is present when a tone lies
+  /// within the tolerance, at the loudest such tone's amplitude; (2) its
+  /// cause is the first in-tolerance tag (0 when absent or untagged);
+  /// (3) an onset is an absent -> present edge against `active[watch]`;
+  /// (4) on an onset, `on_onset(watch, hz, amplitude, cause)` runs right
+  /// here and returns the evidence id for the estimator; (5) a non-null
+  /// `estimator` observes the watch, and `active[watch]` takes the new
+  /// presence.  `active` holds size() flags.  Allocation-free: the
+  /// callback is a template parameter, never a std::function.
+  template <typename OnOnset>
+  MDN_REALTIME void match(std::span<const DetectedTone> tones,
+                          std::span<const audio::EmissionTag> tags,
+                          std::span<char> active,
+                          obs::MicSignalEstimator* estimator,
+                          OnOnset&& on_onset) const {
+    for (std::size_t w = 0; w < watch_hz_.size(); ++w) {
+      const double hz = watch_hz_[w];
+      bool present = false;
+      double amplitude = 0.0;
+      for (const DetectedTone& tone : tones) {
+        if (std::abs(tone.frequency_hz - hz) <= tolerance_hz_) {
+          present = true;
+          amplitude = std::max(amplitude, tone.amplitude);
+        }
+      }
+      obs::CauseId evidence = 0;
+      if (present) {
+        for (const audio::EmissionTag& tag : tags) {
+          if (std::abs(tag.frequency_hz - hz) <= tolerance_hz_) {
+            evidence = tag.cause;
+            break;
+          }
+        }
+      }
+      const bool onset = present && active[w] == 0;
+      if (onset) evidence = on_onset(w, hz, amplitude, evidence);
+      if (estimator != nullptr) {
+        estimator->observe_watch(w, present, onset, amplitude, evidence);
+      }
+      active[w] = present ? 1 : 0;
+    }
+  }
+
+ private:
+  std::vector<double> watch_hz_;
+  double tolerance_hz_;
+};
+
+/// Offline path: scans `recording` in hops of `hop_s`, reporting an
+/// event each time a watched frequency transitions from absent to
+/// present (onset semantics: a tone spanning several blocks yields one
+/// event).
 std::vector<ToneEvent> extract_tone_events(
     const audio::Waveform& recording, const ToneDetector& detector,
     std::span<const double> watch_hz, double hop_s);

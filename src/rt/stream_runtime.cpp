@@ -40,11 +40,12 @@ obs::CauseId journal_dropped_block(const AudioBlock& block, const char* why) {
 }  // namespace
 
 StreamRuntime::StreamRuntime(StreamRuntimeConfig config)
-    : config_(std::move(config)), detector_(config_.detector) {
+    : config_(std::move(config)),
+      detector_(config_.detector),
+      block_s_(static_cast<double>(detector_.config().block_size) /
+               detector_.config().sample_rate) {
   if (config_.workers == 0) config_.workers = 1;
   if (config_.ring_capacity == 0) config_.ring_capacity = 2;
-  config_.batch_max = std::clamp<std::size_t>(
-      config_.batch_max, 1, core::ToneDetector::kMaxDetectBatch);
   auto& registry = obs::Registry::global();
   submitted_counter_ = &registry.counter("rt/runtime/blocks_submitted");
   drops_oldest_counter_ = &registry.counter("rt/runtime/drops_oldest");
@@ -93,12 +94,12 @@ void StreamRuntime::start() {
   // Enough recycled buffers for every ring slot plus blocks in flight.
   const std::size_t pool_size =
       queues_.size() * config_.ring_capacity +
-      config_.workers * config_.batch_max + queues_.size() + 1;
+      config_.workers * core::ToneDetector::kMaxDetectBatch +
+      queues_.size() + 1;
   free_buffers_ = std::make_unique<RingBuffer<std::vector<double>>>(pool_size);
   pool_ = std::make_unique<WorkerPool>(detector_, config_.watch_hz, queues_,
                                        merge_, *free_buffers_,
-                                       config_.workers, config_.health,
-                                       config_.batch_max);
+                                       config_.workers, config_.health);
   pool_->start();
 }
 
@@ -127,14 +128,9 @@ bool StreamRuntime::submit_block(std::uint32_t mic, double start_s,
     // Ingest record, stamped at block END (when the samples exist to be
     // analysed) so it sorts between the emission and the detection it
     // will be cited by (StreamEvent::ingest -> detection cause2).
-    const double block_s =
-        detector_.config().sample_rate > 0.0
-            ? static_cast<double>(detector_.config().block_size) /
-                  detector_.config().sample_rate
-            : 0.0;
     obs::JournalRecord rec;
     rec.kind = obs::JournalKind::kBlockIngested;
-    rec.sim_ns = net::from_seconds(start_s + block_s);
+    rec.sim_ns = net::from_seconds(start_s + block_s_);
     rec.cause = block.tags[0].cause;
     rec.mic = mic;
     rec.aux = block.seq;
@@ -198,14 +194,6 @@ std::size_t StreamRuntime::poll() {
   const std::size_t released = merge_.drain_ready(ready_scratch_);
   obs::Journal& journal = obs::Journal::global();
   const bool journal_on = journal.enabled();
-  // Detection time = block end (the onset is only known once the block
-  // has been fully recorded and analysed), matching the inline
-  // controller's sim-time stamp so latencies are comparable.
-  const double block_s =
-      detector_.config().sample_rate > 0.0
-          ? static_cast<double>(detector_.config().block_size) /
-                detector_.config().sample_rate
-          : 0.0;
   for (StreamEvent& event : ready_scratch_) {
     if (journal_on) {
       // Mint the detection record on the owner thread, in canonical
@@ -215,7 +203,10 @@ std::size_t StreamRuntime::poll() {
       obs::JournalRecord rec;
       rec.kind = obs::JournalKind::kToneDetected;
       rec.cause = event.cause;
-      rec.sim_ns = net::from_seconds(event.time_s + block_s);
+      // Detection time = block end (the onset is only known once the
+      // block has been fully recorded and analysed), matching the inline
+      // controller's sim-time stamp so latencies are comparable.
+      rec.sim_ns = net::from_seconds(event.time_s + block_s_);
       rec.frequency_hz = event.frequency_hz;
       rec.value = event.amplitude;
       rec.mic = event.mic;

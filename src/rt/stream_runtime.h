@@ -49,12 +49,6 @@ struct StreamRuntimeConfig {
   std::size_t workers = 2;
   /// Blocks buffered per microphone before the drop policy engages.
   std::size_t ring_capacity = 64;
-  /// Max consecutive ready blocks of one mic a worker fuses into a
-  /// single batched detection (one SoA FFT serving up to this many
-  /// blocks).  Clamped to [1, core::ToneDetector::kMaxDetectBatch];
-  /// 1 reproduces one-block-one-FFT exactly.  Merged output is
-  /// bit-identical at any setting.
-  std::size_t batch_max = core::ToneDetector::kMaxDetectBatch;
   DropPolicy drop_policy = DropPolicy::kBlock;
   core::ToneDetectorConfig detector;
   /// Frequencies matched against detected peaks; the watch index of an
@@ -145,6 +139,9 @@ class StreamRuntime final : public core::BlockSink {
 
   StreamRuntimeConfig config_;
   core::ToneDetector detector_;
+  // Configured block length in seconds: stamps ingest and detection
+  // records at block end.
+  double block_s_;
   std::vector<std::string> mic_names_;
   std::vector<std::unique_ptr<MicQueue>> queues_;
   std::vector<std::uint64_t> next_seq_;  // per mic, producer side

@@ -1,7 +1,5 @@
 #include "rt/worker_pool.h"
 
-#include <algorithm>
-#include <cmath>
 #include <span>
 #include <string>
 
@@ -13,17 +11,14 @@ WorkerPool::WorkerPool(const core::ToneDetector& detector,
                        OrderedMerge& merge,
                        RingBuffer<std::vector<double>>& free_buffers,
                        std::size_t workers,
-                       obs::Health* health,
-                       std::size_t batch_max)
+                       obs::Health* health)
     : detector_(detector),
-      watch_hz_(std::move(watch_hz)),
+      matcher_(std::move(watch_hz), detector.config().match_tolerance_hz),
       queues_(queues),
       merge_(merge),
       free_buffers_(free_buffers),
       workers_(workers == 0 ? 1 : workers),
-      health_(health),
-      batch_max_(std::clamp<std::size_t>(
-          batch_max, 1, core::ToneDetector::kMaxDetectBatch)) {
+      health_(health) {
   auto& registry = obs::Registry::global();
   processed_counter_ = &registry.counter("rt/runtime/blocks_processed");
   events_counter_ = &registry.counter("rt/runtime/events");
@@ -33,7 +28,7 @@ WorkerPool::WorkerPool(const core::ToneDetector& detector,
         "rt/worker/" + std::to_string(t) + "/block_wall_ns"));
   }
   active_.resize(queues_.size());
-  for (auto& row : active_) row.assign(watch_hz_.size(), 0);
+  for (auto& row : active_) row.assign(matcher_.size(), 0);
 }
 
 WorkerPool::~WorkerPool() {
@@ -74,15 +69,22 @@ void WorkerPool::run_worker(std::size_t index) {
   BatchScratch scratch;
   std::vector<char> closed(queues_.size(), 0);
   for (;;) {
+    // Read the flag once per sweep, before any pop: every block pushed
+    // before finish() is then visible to this sweep's pops, so a ring
+    // found empty after a true flag is really drained.  (Loading it after
+    // an empty pop would close a mic whose last block landed in between.)
+    // mo: pairs with finish()'s release store — the final blocks precede the close decision
+    const bool producers_done = producers_done_.load(std::memory_order_acquire);
     bool did_work = false;
     bool all_closed = true;
     for (std::size_t mic = index; mic < queues_.size(); mic += workers_) {
       if (closed[mic]) continue;
       MicQueue& q = *queues_[mic];
-      // Drain up to batch_max_ ready blocks of this mic — popped in seq
-      // order, fused into one batched detection.
+      // Drain up to kMaxDetectBatch ready blocks of this mic — popped in
+      // seq order, fused into one batched detection.
       std::size_t got = 0;
-      while (got < batch_max_ && q.ring.try_pop(scratch.blocks[got])) {
+      while (got < core::ToneDetector::kMaxDetectBatch &&
+             q.ring.try_pop(scratch.blocks[got])) {
         ++got;
       }
       if (got > 0) {
@@ -92,8 +94,7 @@ void WorkerPool::run_worker(std::size_t index) {
         process_batch(scratch, got, active_[mic], wall_ns);
         did_work = true;
         all_closed = false;
-      // mo: pairs with finish()'s release store — the final blocks precede the close decision
-      } else if (producers_done_.load(std::memory_order_acquire)) {
+      } else if (producers_done) {
         // Ring drained and no producer will refill it: this microphone
         // is finished — stop gating the merge watermark on it.
         merge_.close(static_cast<std::uint32_t>(mic));
@@ -112,10 +113,9 @@ void WorkerPool::process_batch(BatchScratch& scratch, std::size_t count,
                                obs::Histogram* wall_ns) {
   const std::int64_t batch_start = obs::wall_now_ns();
   // One batched detection for the whole run (blocks are consecutive
-  // seqs of one mic), then the per-block pipeline in pop order — the
-  // matching, onset and merge arithmetic below is identical to
-  // MdnController::tick so the merged stream stays bit-equal to the
-  // serial controller path at any batch width.
+  // seqs of one mic), then the per-block pipeline in pop order through
+  // the same core::WatchMatcher as the serial controller path, so the
+  // merged stream stays bit-equal to it at any batch width.
   std::array<std::span<const double>, core::ToneDetector::kMaxDetectBatch>
       samples;
   std::array<std::vector<core::DetectedTone>*,
@@ -138,58 +138,36 @@ void WorkerPool::process_batch(BatchScratch& scratch, std::size_t count,
           ? std::span<obs::BlockSignalStats* const>(stats_ptrs.data(), count)
           : std::span<obs::BlockSignalStats* const>{});
 
-  const double tolerance = detector_.config().match_tolerance_hz;
   const double rate = detector_.config().sample_rate;
   std::uint64_t batch_events = 0;
   for (std::size_t b = 0; b < count; ++b) {
     AudioBlock& block = scratch.blocks[b];
-    const std::vector<core::DetectedTone>& tones = scratch.tones[b];
     obs::MicSignalEstimator* est = nullptr;
     if (health_ != nullptr) {
       // Health estimator updates ride the block in per-mic seq order —
       // the mic's single owning worker is the single writer, so the
       // estimator trajectory (and any alert it queues) is deterministic
       // regardless of worker count or batch width.
-      const double block_len_s =
-          rate > 0.0 ? static_cast<double>(block.samples.size()) / rate : 0.0;
       est = &health_->estimator(block.mic);
-      est->begin_block(block.start_s + block_len_s, stats[b]);
+      est->begin_block(
+          block.start_s + static_cast<double>(block.samples.size()) / rate,
+          stats[b]);
     }
-    for (std::size_t i = 0; i < watch_hz_.size(); ++i) {
-      double best_amp = 0.0;
-      bool found = false;
-      for (const auto& t : tones) {
-        if (std::abs(t.frequency_hz - watch_hz_[i]) <= tolerance) {
-          found = true;
-          best_amp = std::max(best_amp, t.amplitude);
-        }
-      }
-      // Provenance: cite the ground-truth emission whose frequency this
-      // watch matched, if one rode in with the block.  Pure per-block
-      // arithmetic, so the resolved cause is identical regardless of
-      // worker count.
-      std::uint64_t cause = 0;
-      if (found) {
-        for (std::uint8_t k = 0; k < block.tag_count; ++k) {
-          if (std::abs(block.tags[k].frequency_hz - watch_hz_[i]) <=
-              tolerance) {
-            cause = block.tags[k].cause;
-            break;
-          }
-        }
-      }
-      const bool onset = found && active[i] == 0;
-      if (onset) {
-        merge_.push({block.seq, block.mic, static_cast<std::uint32_t>(i),
-                     block.start_s, watch_hz_[i], best_amp, cause,
-                     block.ingest});
-        ++batch_events;
-      }
-      if (est != nullptr) {
-        est->observe_watch(i, found, onset, best_amp, cause);
-      }
-      active[i] = found ? 1 : 0;
-    }
+    // The cause is the ground-truth emission whose frequency the watch
+    // matched, if one rode in with the block: pure per-block arithmetic,
+    // identical regardless of worker count.
+    matcher_.match(
+        scratch.tones[b],
+        std::span<const audio::EmissionTag>(block.tags.data(),
+                                            block.tag_count),
+        active, est,
+        [&](std::size_t w, double hz, double amplitude,
+            obs::CauseId cause) {
+          merge_.push({block.seq, block.mic, static_cast<std::uint32_t>(w),
+                       block.start_s, hz, amplitude, cause, block.ingest});
+          ++batch_events;
+          return cause;
+        });
     if (est != nullptr) est->end_block();
     // Events of a block are pushed before the watermark moves past it —
     // the merge relies on this ordering.
@@ -206,11 +184,7 @@ void WorkerPool::process_batch(BatchScratch& scratch, std::size_t count,
   // mo: monitoring counter, no ordering needed with other state
   processed_.fetch_add(count, std::memory_order_relaxed);
   processed_counter_->add(count);
-  if (batch_events > 0) {
-    // mo: monitoring counter, no ordering needed with other state
-    events_.fetch_add(batch_events, std::memory_order_relaxed);
-    events_counter_->add(batch_events);
-  }
+  if (batch_events > 0) events_counter_->add(batch_events);
   const std::int64_t per_block = (obs::wall_now_ns() - batch_start) /
                                  static_cast<std::int64_t>(count);
   for (std::size_t b = 0; b < count; ++b) {

@@ -3,11 +3,12 @@
 // Microphones are sharded over workers by `mic % workers`, so every
 // microphone's blocks are consumed by exactly one thread: the per-mic
 // ring stays single-producer/single-consumer on the hot path, and the
-// per-mic onset state machine (which watch frequencies were present in
-// the previous block) needs no synchronisation at all.  All workers
-// share one const ToneDetector — its detect_into() is thread-safe with
-// thread-local scratch (see tone_detector.h) — and push onsets into the
-// OrderedMerge, which restores the canonical (seq, mic, watch) order.
+// per-mic onset flags (which watch frequencies were present in the
+// previous block) need no synchronisation at all.  All workers share one
+// const ToneDetector — its detect_into() is thread-safe with thread-local
+// scratch (see tone_detector.h) — and one const core::WatchMatcher, and
+// push onsets into the OrderedMerge, which restores the canonical
+// (seq, mic, watch) order.
 #pragma once
 
 #include <array>
@@ -61,23 +62,22 @@ struct MicQueue {
 class WorkerPool {
  public:
   /// `detector`, `queues`, `merge` (and `health`, when set) must outlive
-  /// the pool.  The watch list is copied; onset matching uses the
-  /// detector's tolerance.  A non-null `health` receives per-block
-  /// estimator updates for every microphone (health->estimator(mic) must
-  /// exist for every queue); each mic's estimator is touched only by the
-  /// worker owning that mic, preserving the single-writer contract.
-  /// `batch_max` bounds how many consecutive ready blocks of one mic a
-  /// worker fuses into a single batched detection (clamped to
-  /// [1, core::ToneDetector::kMaxDetectBatch]); 1 reproduces the
-  /// one-block-one-FFT behaviour exactly.
+  /// the pool.  The watch list moves into the shared matcher; onset
+  /// matching uses the detector's tolerance.  A non-null `health`
+  /// receives per-block estimator updates for every microphone
+  /// (health->estimator(mic) must exist for every queue); each mic's
+  /// estimator is touched only by the worker owning that mic, preserving
+  /// the single-writer contract.  A worker drains up to
+  /// core::ToneDetector::kMaxDetectBatch ready blocks of one mic into a
+  /// single batched detection; a lone ready block takes the single-block
+  /// path.
   WorkerPool(const core::ToneDetector& detector,
              std::vector<double> watch_hz,
              std::vector<std::unique_ptr<MicQueue>>& queues,
              OrderedMerge& merge,
              RingBuffer<std::vector<double>>& free_buffers,
              std::size_t workers,
-             obs::Health* health = nullptr,
-             std::size_t batch_max = core::ToneDetector::kMaxDetectBatch);
+             obs::Health* health = nullptr);
   ~WorkerPool();
 
   WorkerPool(const WorkerPool&) = delete;
@@ -97,14 +97,9 @@ class WorkerPool {
   void join();
 
   std::size_t worker_count() const noexcept { return workers_; }
-  std::size_t batch_max() const noexcept { return batch_max_; }
   std::uint64_t blocks_processed() const noexcept {
     // mo: monitoring counter, no ordering needed with other state
     return processed_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t events_emitted() const noexcept {
-    // mo: monitoring counter, no ordering needed with other state
-    return events_.load(std::memory_order_relaxed);
   }
 
  private:
@@ -131,13 +126,12 @@ class WorkerPool {
                                   obs::Histogram* wall_ns);
 
   const core::ToneDetector& detector_;
-  std::vector<double> watch_hz_;
+  const core::WatchMatcher matcher_;
   std::vector<std::unique_ptr<MicQueue>>& queues_;
   OrderedMerge& merge_;
   RingBuffer<std::vector<double>>& free_buffers_;
   std::size_t workers_;
   obs::Health* health_;
-  std::size_t batch_max_;
 
   std::vector<std::thread> threads_;
   // active_[mic][watch]: tone present in the previous block.  Each row is
@@ -146,7 +140,6 @@ class WorkerPool {
   std::atomic<bool> producers_done_{false};
   std::atomic<std::size_t> warmed_{0};
   std::atomic<std::uint64_t> processed_{0};
-  std::atomic<std::uint64_t> events_{0};
   obs::Counter* processed_counter_;
   obs::Counter* events_counter_;
   std::vector<obs::Histogram*> block_wall_ns_;  // per worker

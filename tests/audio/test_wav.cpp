@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 #include "audio/synth.h"
 
@@ -13,8 +16,15 @@ namespace {
 
 class WavTest : public ::testing::Test {
  protected:
+  // One directory per test and process: ctest runs each TEST as its own
+  // process, in parallel, and TearDown removes the whole directory.
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "mdn_wav_test";
+    dir_ = std::filesystem::temp_directory_path() /
+           ("mdn_wav_test_" +
+            std::string(::testing::UnitTest::GetInstance()
+                            ->current_test_info()
+                            ->name()) +
+            "_" + std::to_string(::getpid()));
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

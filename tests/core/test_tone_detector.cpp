@@ -446,5 +446,129 @@ TEST(ToneDetectorBatch, WarmUpDetectsNothingAndKeepsLaterCallsIdentical) {
   }
 }
 
+// --- WatchMatcher: the one per-block matching step ----------------------
+
+struct Onset {
+  std::size_t watch = 0;
+  double hz = 0.0;
+  double amplitude = 0.0;
+  obs::CauseId cause = 0;
+};
+
+/// Matches one block; returns the reported onsets in call order.
+std::vector<Onset> match_block(const WatchMatcher& matcher,
+                               const std::vector<DetectedTone>& tones,
+                               std::vector<char>& active,
+                               const std::vector<audio::EmissionTag>& tags =
+                                   {}) {
+  std::vector<Onset> onsets;
+  matcher.match(tones, tags, active, nullptr,
+                [&](std::size_t w, double hz, double amplitude,
+                    obs::CauseId cause) {
+                  onsets.push_back({w, hz, amplitude, cause});
+                  return cause;
+                });
+  return onsets;
+}
+
+TEST(WatchMatcher, DifferenceOfExactlyTheToleranceStillMatches) {
+  const WatchMatcher matcher({1000.0}, 10.0);
+  for (const double hz : {990.0, 1010.0}) {
+    std::vector<char> active(1, 0);
+    EXPECT_EQ(match_block(matcher, {{hz, 0.5}}, active).size(), 1u) << hz;
+  }
+  for (const double hz : {989.5, 1010.5}) {
+    std::vector<char> active(1, 0);
+    EXPECT_TRUE(match_block(matcher, {{hz, 0.5}}, active).empty()) << hz;
+    EXPECT_EQ(active[0], 0);
+  }
+}
+
+TEST(WatchMatcher, AmplitudeIsTheLoudestInToleranceTone) {
+  const WatchMatcher matcher({1000.0}, 10.0);
+  std::vector<char> active(1, 0);
+  // 0.9 is louder but 30 Hz away, outside the tolerance.
+  const auto onsets = match_block(
+      matcher, {{993.0, 0.2}, {1004.0, 0.5}, {1009.0, 0.3}, {1030.0, 0.9}},
+      active);
+  ASSERT_EQ(onsets.size(), 1u);
+  EXPECT_DOUBLE_EQ(onsets[0].amplitude, 0.5);
+  EXPECT_DOUBLE_EQ(onsets[0].hz, 1000.0);  // the watch's, not the tone's
+}
+
+TEST(WatchMatcher, OneToneCanMatchTwoWatches) {
+  const WatchMatcher matcher({1000.0, 1015.0}, 10.0);
+  std::vector<char> active(2, 0);
+  const auto onsets = match_block(matcher, {{1008.0, 0.4}}, active);
+  ASSERT_EQ(onsets.size(), 2u);
+  EXPECT_EQ(onsets[0].watch, 0u);
+  EXPECT_DOUBLE_EQ(onsets[0].hz, 1000.0);
+  EXPECT_EQ(onsets[1].watch, 1u);
+  EXPECT_DOUBLE_EQ(onsets[1].hz, 1015.0);
+  EXPECT_DOUBLE_EQ(onsets[1].amplitude, 0.4);
+}
+
+TEST(WatchMatcher, CauseIsTheFirstInToleranceTagInTagOrder) {
+  const WatchMatcher matcher({1000.0, 2000.0, 3000.0}, 10.0);
+  std::vector<char> active(3, 0);
+  // Tag order decides, not distance: 12 precedes the exact-hit 13.  Watch
+  // 1 has a tag (14) but no tone, so it reports nothing; watch 2 is heard
+  // with no tag on its frequency, so its cause is 0.
+  const auto onsets =
+      match_block(matcher, {{1001.0, 0.4}, {3000.0, 0.4}}, active,
+                  {{11, 1050.0}, {12, 1008.0}, {13, 1000.0}, {14, 2000.0}});
+  ASSERT_EQ(onsets.size(), 2u);
+  EXPECT_EQ(onsets[0].watch, 0u);
+  EXPECT_EQ(onsets[0].cause, 12u);
+  EXPECT_EQ(onsets[1].watch, 2u);
+  EXPECT_EQ(onsets[1].cause, 0u);
+  EXPECT_EQ(active[1], 0);
+}
+
+TEST(WatchMatcher, OnsetFiresOnlyOnAnAbsentToPresentEdge) {
+  const WatchMatcher matcher({1000.0}, 10.0);
+  std::vector<char> active(1, 0);
+  const std::vector<DetectedTone> on{{1000.0, 0.4}};
+  EXPECT_EQ(match_block(matcher, on, active).size(), 1u);  // rises
+  EXPECT_EQ(active[0], 1);
+  EXPECT_TRUE(match_block(matcher, on, active).empty());  // still present
+  EXPECT_TRUE(match_block(matcher, {}, active).empty());  // falls
+  EXPECT_EQ(active[0], 0);
+  EXPECT_EQ(match_block(matcher, on, active).size(), 1u);  // rises again
+}
+
+TEST(WatchMatcher, EstimatorGetsTheOnsetCallbacksEvidence) {
+  obs::HealthConfig cfg;
+  cfg.watch_count = 1;
+  obs::Health health(cfg);
+  // Fires on the first block, so the alert carries that block's evidence.
+  obs::SloSpec rule;
+  rule.name = "noise_floor_high";
+  rule.metric = obs::SloSpec::Metric::kNoiseFloor;
+  rule.op = obs::SloSpec::Op::kAbove;
+  rule.threshold = 0.5;
+  health.add_slo(rule);
+  obs::MicSignalEstimator& est = health.estimator(health.add_mic("m0"));
+
+  const WatchMatcher matcher({1000.0}, 10.0);
+  std::vector<char> active(1, 0);
+  const std::vector<DetectedTone> tones{{1000.0, 2.0}};
+  const std::vector<audio::EmissionTag> tags{{5, 1000.0}};
+  obs::BlockSignalStats stats;
+  stats.noise_floor = 1.0;
+  est.begin_block(0.1, stats);
+  obs::CauseId cited = 0;
+  matcher.match(tones, tags, active, &est,
+                [&](std::size_t, double, double, obs::CauseId cause) {
+                  cited = cause;
+                  return obs::CauseId{42};  // e.g. the detection record
+                });
+  est.end_block();
+
+  EXPECT_EQ(cited, 5u);
+  ASSERT_EQ(health.poll(), 1u);
+  EXPECT_EQ(health.alerts().back().evidence, 42u);
+}
+
 }  // namespace
 }  // namespace mdn::core

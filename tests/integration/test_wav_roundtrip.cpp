@@ -3,8 +3,10 @@
 // examples write are faithful evidence, and recordings captured on one
 // machine can be analysed on another.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <filesystem>
+#include <string>
 
 #include "audio/audio.h"
 #include "dsp/dsp.h"
@@ -16,8 +18,15 @@ namespace {
 constexpr double kSampleRate = 48000.0;
 
 struct WavRoundTrip : ::testing::Test {
+  // One directory per test and process: ctest runs each TEST as its own
+  // process, in parallel, and TearDown removes the whole directory.
   void SetUp() override {
-    dir = std::filesystem::temp_directory_path() / "mdn_wav_roundtrip";
+    dir = std::filesystem::temp_directory_path() /
+          ("mdn_wav_roundtrip_" +
+           std::string(::testing::UnitTest::GetInstance()
+                           ->current_test_info()
+                           ->name()) +
+           "_" + std::to_string(::getpid()));
     std::filesystem::create_directories(dir);
   }
   void TearDown() override { std::filesystem::remove_all(dir); }

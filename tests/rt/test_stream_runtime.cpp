@@ -88,13 +88,17 @@ std::vector<StreamEvent> serial_reference(const StreamRuntimeConfig& cfg,
   return events;
 }
 
+/// Runs the scenario through a runtime.  With `queue_before_start` every
+/// block is queued before the workers exist (finish() starts them), so
+/// each worker visit finds a full ring to drain.
 std::vector<StreamEvent> run_runtime(const StreamRuntimeConfig& cfg,
-                                     std::size_t mics, std::uint64_t hops) {
+                                     std::size_t mics, std::uint64_t hops,
+                                     bool queue_before_start = false) {
   StreamRuntime runtime(cfg);
   for (std::size_t m = 0; m < mics; ++m) {
     runtime.add_mic("mic-" + std::to_string(m));
   }
-  runtime.start();
+  if (!queue_before_start) runtime.start();
   for (std::uint64_t hop = 0; hop < hops; ++hop) {
     for (std::uint32_t mic = 0; mic < mics; ++mic) {
       const auto block = scenario_block(mic, hop, cfg.watch_hz);
@@ -127,38 +131,26 @@ TEST(StreamRuntime, RepeatedRunsAreBitIdentical) {
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_TRUE(a[i] == b[i]);
 }
 
-TEST(StreamRuntime, BatchWidthNeverChangesTheMergedStream) {
-  // batch_max=1 is the one-block-one-FFT path; wider settings fuse ready
-  // blocks into one SoA FFT.  All must match the serial reference
-  // exactly, at several worker counts.
+TEST(StreamRuntime, FullBatchesMatchSerialAtEveryWorkerCount) {
+  // Every block is queued before start(), so each worker visit drains a
+  // full kMaxDetectBatch run of one mic into one batched detection (16
+  // hops per mic: four full runs).  The merged stream must still equal
+  // the serial reference exactly, at several worker counts.
   const std::size_t mics = 4;
   const std::uint64_t hops = 16;
+  static_assert(hops % core::ToneDetector::kMaxDetectBatch == 0);
   const auto reference = serial_reference(base_config(1), mics, hops);
   ASSERT_FALSE(reference.empty());
   for (std::size_t workers : {1u, 2u, 4u, 7u}) {
-    for (std::size_t batch : {1u, 2u, 4u}) {
-      auto cfg = base_config(workers);
-      cfg.batch_max = batch;
-      const auto events = run_runtime(cfg, mics, hops);
-      ASSERT_EQ(events.size(), reference.size())
-          << "workers=" << workers << " batch_max=" << batch;
-      for (std::size_t i = 0; i < events.size(); ++i) {
-        EXPECT_TRUE(events[i] == reference[i])
-            << "workers=" << workers << " batch_max=" << batch << " event "
-            << i;
-      }
+    const auto cfg = base_config(workers);
+    ASSERT_GE(cfg.ring_capacity, hops);  // nothing spins before start()
+    const auto events = run_runtime(cfg, mics, hops, true);
+    ASSERT_EQ(events.size(), reference.size()) << "workers=" << workers;
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      EXPECT_TRUE(events[i] == reference[i])
+          << "workers=" << workers << " event " << i;
     }
   }
-}
-
-TEST(StreamRuntime, BatchMaxIsClampedToTheDetectorLimit) {
-  auto cfg = base_config(1);
-  cfg.batch_max = 100;
-  const StreamRuntime wide(cfg);
-  EXPECT_EQ(wide.config().batch_max, core::ToneDetector::kMaxDetectBatch);
-  cfg.batch_max = 0;
-  const StreamRuntime narrow(cfg);
-  EXPECT_EQ(narrow.config().batch_max, 1u);
 }
 
 TEST(StreamRuntime, BlockPolicyLosesNothingUnderTinyRings) {
@@ -273,6 +265,22 @@ TEST(StreamRuntime, FinishIsIdempotentAndStartsLazyWorkers) {
   runtime.finish();
   EXPECT_EQ(runtime.stats().processed, 1u);
   EXPECT_EQ(runtime.events().size(), 1u);
+}
+
+TEST(StreamRuntime, BlockSubmittedJustBeforeFinishIsProcessed) {
+  // finish() right behind a submit races the worker's close decision: a
+  // worker that saw the ring empty and only then the finish flag would
+  // close the mic and lose the block.  Many short runs make the window
+  // likely to be hit if it exists.
+  for (int cycle = 0; cycle < 3000; ++cycle) {
+    StreamRuntime runtime(base_config(1));
+    const auto mic = runtime.add_mic("m");
+    runtime.start();
+    runtime.submit_block(mic, 0.0, tone_block(800.0));
+    runtime.finish();
+    ASSERT_EQ(runtime.stats().processed, 1u) << "cycle " << cycle;
+    ASSERT_EQ(runtime.stats().delivered, 1u) << "cycle " << cycle;
+  }
 }
 
 TEST(StreamRuntime, MicNamesRoundTrip) {
