@@ -364,7 +364,8 @@ int main(int argc, char** argv) {
                 timeline.size(), timeline.track_count());
   }
   if (obs::write_file("telemetry_dashboard.waterfall.trace.json",
-                      obs::to_chrome_trace_waterfall(profiler))) {
+                      obs::to_chrome_trace(obs::Tracer(), nullptr,
+                                           &profiler))) {
     std::printf("wrote telemetry_dashboard.waterfall.trace.json "
                 "(per-stage spans; load in chrome://tracing)\n");
   }
@@ -378,7 +379,7 @@ int main(int argc, char** argv) {
     std::printf("wrote telemetry_dashboard.metrics.jsonl\n");
   }
   if (obs::write_file("telemetry_dashboard.trace.json",
-                      obs::to_chrome_trace(net.loop().tracer(), journal))) {
+                      obs::to_chrome_trace(net.loop().tracer(), &journal))) {
     std::printf("wrote telemetry_dashboard.trace.json "
                 "(journal flow arrows overlaid; load in chrome://tracing "
                 "or ui.perfetto.dev)\n");

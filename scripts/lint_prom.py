@@ -6,22 +6,25 @@ Validates the exposition-format subset mdn::obs emits:
   * metric and label names match [a-zA-Z_:][a-zA-Z0-9_:]*,
   * label values are double-quoted with only \\, \" and \n escapes,
   * sample values parse as floats (incl. +Inf/-Inf/NaN),
-  * `# TYPE` lines are well-formed, name a known type, appear at most
-    once per family and precede that family's samples,
+  * `# TYPE` lines are well-formed, name a known type and appear at most
+    once per family,
+  * every sampled family is TYPE-declared before its first sample,
+  * each family's lines (TYPE, HELP and samples) form one group: once
+    another family's line appears, the family may not appear again,
   * histogram families expose _bucket/_sum/_count with an +Inf bucket
     and non-decreasing cumulative bucket counts,
   * health families (obs::Health::to_prometheus, mdn_health_*) are
-    TYPE-declared, always labeled with the microphone, component-state
-    samples take only the enum values 0/1/2 (OK/Degraded/Failed),
-    alert counters carry a valid severity label, per-watch SNR samples
-    carry a watch label, and *_total counters are non-negative,
+    always labeled with the microphone, component-state samples take
+    only the enum values 0/1/2 (OK/Degraded/Failed), alert counters
+    carry a valid severity label, per-watch SNR samples carry a watch
+    label, and *_total counters are non-negative,
   * latency families (obs::LatencyProfiler::to_prometheus,
-    mdn_latency_*) are TYPE-declared, per-stage samples carry a stage
-    label from the known pipeline-stage taxonomy, counts and seconds
-    are non-negative, and per stage p50 <= p99 <= max,
+    mdn_latency_*) carry a stage label from the known pipeline-stage
+    taxonomy on per-stage samples, counts and seconds are non-negative,
+    and per stage p50 <= p99 <= max,
   * timeline families (obs::Timeline::to_prometheus, mdn_timeline_*)
-    are TYPE-declared, per-track rollups carry a track label, sample
-    and drop counts are non-negative, and per track min <= max.
+    carry a track label on per-track rollups, sample and drop counts
+    are non-negative, and per track min <= max.
 
 Usage: lint_prom.py FILE [FILE...]   (exit 1 on the first bad file)
 """
@@ -79,10 +82,8 @@ TIMELINE_TRACK_FAMILIES = {
 }
 
 
-def check_health_sample(family, labels, value, declared, errors, where):
+def check_health_sample(family, labels, value, errors, where):
     """Schema checks for the obs::Health exporter's metric families."""
-    if family not in declared:
-        errors.append(f"{where}: health family {family} lacks a TYPE line")
     if "mic" not in labels:
         errors.append(f"{where}: health sample {family} lacks a mic label")
     if family == "mdn_health_component_state" and value not in (0.0, 1.0, 2.0):
@@ -100,11 +101,9 @@ def check_health_sample(family, labels, value, declared, errors, where):
         errors.append(f"{where}: counter {family} is negative ({value!r})")
 
 
-def check_latency_sample(family, labels, value, declared, errors, where,
+def check_latency_sample(family, labels, value, errors, where,
                          stage_quantiles):
     """Schema checks for the obs::LatencyProfiler exporter families."""
-    if family not in declared:
-        errors.append(f"{where}: latency family {family} lacks a TYPE line")
     if value < 0:
         errors.append(f"{where}: latency sample {family} is negative "
                       f"({value!r})")
@@ -125,11 +124,9 @@ def check_latency_sample(family, labels, value, declared, errors, where,
             stage_quantiles.setdefault(stage, {})[quantile] = value
 
 
-def check_timeline_sample(family, labels, value, declared, errors, where,
+def check_timeline_sample(family, labels, value, errors, where,
                           track_extremes):
     """Schema checks for the obs::Timeline exporter families."""
-    if family not in declared:
-        errors.append(f"{where}: timeline family {family} lacks a TYPE line")
     if family in ("mdn_timeline_samples", "mdn_timeline_dropped"):
         if value < 0:
             errors.append(f"{where}: {family} is negative ({value!r})")
@@ -181,10 +178,13 @@ def parse_labels(raw, errors, where):
     return labels
 
 
-def family_of(name):
+def family_of(name, declared):
+    """A declared histogram's _bucket/_sum/_count samples belong to it;
+    any other name (mdn_latency_stage_count, say) is its own family."""
     for suffix in HIST_SUFFIXES:
-        if name.endswith(suffix):
-            return name[: -len(suffix)]
+        base = name[: -len(suffix)]
+        if name.endswith(suffix) and declared.get(base) == "histogram":
+            return base
     return name
 
 
@@ -192,9 +192,22 @@ def lint(path):
     errors = []
     declared = {}  # family -> type
     sampled_families = set()
+    current, closed, split = None, set(), set()  # family groups
     buckets = {}  # family -> list of (le, count) in file order
     stage_quantiles = {}  # stage -> {p50/p99/max: value}
     track_extremes = {}  # track -> {min/max: value}
+
+    def enter_group(family, where):
+        """A family whose group another family's line closed is split."""
+        nonlocal current
+        if family == current:
+            return
+        closed.add(current)
+        if family in closed and family not in split:
+            split.add(family)
+            errors.append(f"{where}: family {family} is split into more "
+                          f"than one group (its lines must be contiguous)")
+        current = family
 
     with open(path, "r", encoding="utf-8") as f:
         lines = f.read().split("\n")
@@ -210,6 +223,8 @@ def lint(path):
             if parts[1] == "HELP":
                 if len(parts) < 3 or not NAME_RE.match(parts[2]):
                     errors.append(f"{where}: malformed HELP line")
+                else:
+                    enter_group(parts[2], where)
                 continue
             if len(parts) != 4 or parts[3] not in TYPES:
                 errors.append(f"{where}: malformed TYPE line: {line!r}")
@@ -221,6 +236,7 @@ def lint(path):
                 errors.append(f"{where}: duplicate TYPE for {name}")
             if name in sampled_families:
                 errors.append(f"{where}: TYPE for {name} after its samples")
+            enter_group(name, where)
             declared[name] = parts[3]
             continue
 
@@ -240,16 +256,20 @@ def lint(path):
             errors.append(f"{where}: non-numeric sample value {value!r}")
             continue
 
-        family = family_of(name)
+        family = family_of(name, declared)
+        if family not in declared and family not in sampled_families:
+            errors.append(f"{where}: family {family} is sampled before its "
+                          f"TYPE line")
         sampled_families.add(family)
+        enter_group(family, where)
         if family in HEALTH_FAMILIES:
-            check_health_sample(family, labels, fval, declared, errors, where)
+            check_health_sample(family, labels, fval, errors, where)
         if family in LATENCY_FAMILIES:
-            check_latency_sample(family, labels, fval, declared, errors,
-                                 where, stage_quantiles)
+            check_latency_sample(family, labels, fval, errors, where,
+                                 stage_quantiles)
         if family in TIMELINE_FAMILIES:
-            check_timeline_sample(family, labels, fval, declared, errors,
-                                  where, track_extremes)
+            check_timeline_sample(family, labels, fval, errors, where,
+                                  track_extremes)
         if declared.get(family) == "histogram" and name.endswith("_bucket"):
             if "le" not in labels:
                 errors.append(f"{where}: histogram bucket without le label")

@@ -61,16 +61,30 @@ EventLoop::EventId EventLoop::schedule_in(SimTime delay, Callback cb) {
   return schedule_at(now_ + std::max<SimTime>(0, delay), std::move(cb));
 }
 
+namespace {
+
+// One firing of a periodic series.  While the callback returns true the
+// firing schedules a copy of itself.  Only pending and running copies
+// own the callback (shared, not copied per period), so it is freed once
+// the series stops.
+struct PeriodicFiring {
+  EventLoop* loop;
+  std::shared_ptr<std::function<bool()>> cb;
+  SimTime period;
+
+  void operator()() const {
+    if ((*cb)()) loop->schedule_in(period, *this);
+  }
+};
+
+}  // namespace
+
 void EventLoop::schedule_periodic(SimTime first_delay, SimTime period,
                                   std::function<bool()> cb) {
-  // Each firing reschedules itself; the self-reference lives in a shared
-  // holder so the chain owns its own callback.
-  auto shared = std::make_shared<std::function<bool()>>(std::move(cb));
-  auto holder = std::make_shared<std::function<void()>>();
-  *holder = [this, shared, period, holder]() {
-    if ((*shared)()) schedule_in(period, *holder);
-  };
-  schedule_in(first_delay, *holder);
+  schedule_in(first_delay,
+              PeriodicFiring{
+                  this, std::make_shared<std::function<bool()>>(std::move(cb)),
+                  period});
 }
 
 void EventLoop::cancel(EventId id) {

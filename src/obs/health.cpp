@@ -14,20 +14,6 @@ namespace {
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-std::string format_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-/// Prometheus sample value: the text format spells non-finite values
-/// "NaN" / "+Inf" / "-Inf" (never printf's "nan"/"inf").
-std::string prom_value(double v) {
-  if (std::isnan(v)) return "NaN";
-  if (std::isinf(v)) return v > 0.0 ? "+Inf" : "-Inf";
-  return format_double(v);
-}
-
 }  // namespace
 
 std::string_view health_state_name(HealthState state) noexcept {
@@ -398,72 +384,45 @@ std::string Health::render() const {
 }
 
 std::string Health::to_prometheus() const {
-  const Report rep = report();
+  const std::vector<MicReport> mics = report().mics;
+  std::vector<PromLabels> mic(mics.size());
+  for (std::size_t i = 0; i < mic.size(); ++i) {
+    mic[i].add("mic", mic_names_[i]);
+  }
   std::string out;
-  const auto mic_label = [this](std::uint32_t mic) {
-    return "{mic=\"" + prometheus_label_value(mic_names_[mic]) + "\"}";
-  };
-  const auto family = [&out](std::string_view name, std::string_view type) {
-    out += "# TYPE mdn_health_";
-    out += name;
-    out += " ";
-    out += type;
-    out += "\n";
-  };
-
-  family("component_state", "gauge");
-  for (std::uint32_t i = 0; i < rep.mics.size(); ++i) {
-    out += "mdn_health_component_state" + mic_label(i) + " " +
-           std::to_string(static_cast<int>(rep.mics[i].state)) + "\n";
-  }
-  family("noise_floor", "gauge");
-  for (std::uint32_t i = 0; i < rep.mics.size(); ++i) {
-    out += "mdn_health_noise_floor" + mic_label(i) + " " +
-           prom_value(rep.mics[i].noise_floor) + "\n";
-  }
-  family("min_snr_db", "gauge");
-  for (std::uint32_t i = 0; i < rep.mics.size(); ++i) {
-    out += "mdn_health_min_snr_db" + mic_label(i) + " " +
-           prom_value(rep.mics[i].min_snr_db) + "\n";
-  }
-  family("snr_db", "gauge");
-  for (std::uint32_t i = 0; i < estimators_.size(); ++i) {
-    const MicSignalEstimator& est = *estimators_[i];
+  PromWriter prom(out);
+  prom.family("mdn_health_component_state", "gauge", mic,
+              [&](std::size_t i) { return static_cast<int>(mics[i].state); });
+  prom.family("mdn_health_noise_floor", "gauge", mic,
+              [&](std::size_t i) { return mics[i].noise_floor; });
+  prom.family("mdn_health_min_snr_db", "gauge", mic,
+              [&](std::size_t i) { return mics[i].min_snr_db; });
+  prom.family("mdn_health_snr_db", "gauge");
+  for (std::size_t i = 0; i < mic.size(); ++i) {
     for (std::size_t w = 0; w < config_.watch_count; ++w) {
-      const double snr = est.snr_db(w);
+      const double snr = estimators_[i]->snr_db(w);
       if (std::isnan(snr)) continue;  // never-heard watches stay silent
-      out += "mdn_health_snr_db{mic=\"" +
-             prometheus_label_value(mic_names_[i]) + "\",watch=\"" +
-             std::to_string(w) + "\"} " + prom_value(snr) + "\n";
+      prom.sample(snr, PromLabels(mic[i]).add("watch", w));
     }
   }
-  family("onset_rate_hz", "gauge");
-  for (std::uint32_t i = 0; i < rep.mics.size(); ++i) {
-    out += "mdn_health_onset_rate_hz" + mic_label(i) + " " +
-           prom_value(rep.mics[i].onset_rate_hz) + "\n";
-  }
-  family("silence_seconds", "gauge");
-  for (std::uint32_t i = 0; i < rep.mics.size(); ++i) {
-    out += "mdn_health_silence_seconds" + mic_label(i) + " " +
-           prom_value(rep.mics[i].silence_s) + "\n";
-  }
-  family("drops_total", "counter");
-  for (std::uint32_t i = 0; i < rep.mics.size(); ++i) {
-    out += "mdn_health_drops_total" + mic_label(i) + " " +
-           std::to_string(rep.mics[i].drops) + "\n";
-  }
-  family("alerts_total", "counter");
-  for (std::uint32_t i = 0; i < rep.mics.size(); ++i) {
+  prom.family("mdn_health_onset_rate_hz", "gauge", mic,
+              [&](std::size_t i) { return mics[i].onset_rate_hz; });
+  prom.family("mdn_health_silence_seconds", "gauge", mic,
+              [&](std::size_t i) { return mics[i].silence_s; });
+  prom.family("mdn_health_drops_total", "counter", mic,
+              [&](std::size_t i) { return mics[i].drops; });
+  prom.family("mdn_health_alerts_total", "counter");
+  for (std::size_t i = 0; i < mic.size(); ++i) {
     // Per-severity split of this mic's drained alerts.
     std::uint64_t by_state[3] = {0, 0, 0};
     for (const HealthAlert& alert : alerts_) {
       if (alert.mic == i) ++by_state[static_cast<int>(alert.to)];
     }
     for (int s = 0; s < 3; ++s) {
-      out += "mdn_health_alerts_total{mic=\"" +
-             prometheus_label_value(mic_names_[i]) + "\",severity=\"" +
-             std::string(health_state_name(static_cast<HealthState>(s))) +
-             "\"} " + std::to_string(by_state[s]) + "\n";
+      prom.sample(by_state[s],
+                  PromLabels(mic[i]).add(
+                      "severity",
+                      health_state_name(static_cast<HealthState>(s))));
     }
   }
   return out;
@@ -485,7 +444,8 @@ std::string Health::to_health_jsonl() const {
   out.reserve(sorted.size() * 160);
   for (const HealthAlert& alert : sorted) {
     const bool recovery = alert.rule == kHealthNoRule;
-    out += "{\"time_s\":" + format_double(alert.time_s);
+    out += "{\"time_s\":";
+    append_number(out, alert.time_s);
     out += ",\"mic\":" + std::to_string(alert.mic);
     out += ",\"mic_name\":\"" + json_escape(mic_names_[alert.mic]) + "\"";
     out += ",\"rule\":\"";
@@ -497,7 +457,8 @@ std::string Health::to_health_jsonl() const {
     out += health_state_name(alert.from);
     out += "\",\"to\":\"";
     out += health_state_name(alert.to);
-    out += "\",\"value\":" + format_double(alert.value);
+    out += "\",\"value\":";
+    append_number(out, alert.value);
     out += "}\n";
   }
   return out;

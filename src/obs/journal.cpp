@@ -4,30 +4,9 @@
 #include <cstdio>
 #include <cstring>
 
+#include "obs/export.h"
+
 namespace mdn::obs {
-namespace {
-
-std::string format_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-/// Content key ignoring ids: the canonical export order.  Kind rank
-/// follows the pipeline (emitted < dropped < detected < ... < flow_mod)
-/// so a cause sorts before its effect at equal sim time.
-bool content_before(const JournalRecord& a, const JournalRecord& b) {
-  if (a.sim_ns != b.sim_ns) return a.sim_ns < b.sim_ns;
-  if (a.kind != b.kind) return a.kind < b.kind;
-  if (a.mic != b.mic) return a.mic < b.mic;
-  if (a.watch != b.watch) return a.watch < b.watch;
-  if (a.frequency_hz != b.frequency_hz) return a.frequency_hz < b.frequency_hz;
-  if (a.aux != b.aux) return a.aux < b.aux;
-  if (a.value != b.value) return a.value < b.value;
-  return std::strcmp(a.label, b.label) < 0;
-}
-
-}  // namespace
 
 std::string_view journal_kind_name(JournalKind kind) noexcept {
   switch (kind) {
@@ -178,11 +157,25 @@ std::string to_journal_jsonl(const Journal& journal) {
   return to_journal_jsonl(journal.snapshot());
 }
 
+// Kind rank follows the pipeline (emitted < dropped < detected < ... <
+// flow_mod) so a cause sorts before its effect at equal sim time.
+bool journal_content_before(const JournalRecord& a,
+                            const JournalRecord& b) {
+  if (a.sim_ns != b.sim_ns) return a.sim_ns < b.sim_ns;
+  if (a.kind != b.kind) return a.kind < b.kind;
+  if (a.mic != b.mic) return a.mic < b.mic;
+  if (a.watch != b.watch) return a.watch < b.watch;
+  if (a.frequency_hz != b.frequency_hz) return a.frequency_hz < b.frequency_hz;
+  if (a.aux != b.aux) return a.aux < b.aux;
+  if (a.value != b.value) return a.value < b.value;
+  return std::strcmp(a.label, b.label) < 0;
+}
+
 std::string to_journal_jsonl(std::vector<JournalRecord> records) {
   // Canonical order is by content, not by mint order: producer-side and
   // delivery-side mints interleave differently across worker counts, but
   // the set of records (and their causal links) is identical.
-  std::stable_sort(records.begin(), records.end(), content_before);
+  std::stable_sort(records.begin(), records.end(), journal_content_before);
   // Renumber to line order and rewrite causal links through the map;
   // links to evicted (absent) records become 0.
   std::vector<std::pair<CauseId, std::uint64_t>> id_map;
@@ -212,12 +205,12 @@ std::string to_journal_jsonl(std::vector<JournalRecord> records) {
                               ? -1
                               : static_cast<std::int64_t>(r.mic));
     out += ",\"watch\":" + std::to_string(r.watch);
-    out += ",\"frequency_hz\":" + format_double(r.frequency_hz);
-    out += ",\"value\":" + format_double(r.value);
+    out += ",\"frequency_hz\":";
+    append_number(out, r.frequency_hz);
+    out += ",\"value\":";
+    append_number(out, r.value);
     out += ",\"aux\":" + std::to_string(r.aux);
-    out += ",\"label\":\"";
-    out += r.label;  // labels are plain component tags, no escapes needed
-    out += "\"}\n";
+    out += ",\"label\":\"" + json_escape(r.label) + "\"}\n";
   }
   return out;
 }
@@ -228,7 +221,9 @@ std::string explain_text(const Journal& journal, CauseId action) {
   for (const JournalRecord& r : journal.explain(action)) {
     std::string detail;
     if (r.frequency_hz > 0.0) {
-      detail += " " + format_double(r.frequency_hz) + " Hz";
+      detail += ' ';
+      append_number(detail, r.frequency_hz);
+      detail += " Hz";
     }
     if (r.mic != kJournalNoMic) detail += " mic=" + std::to_string(r.mic);
     if (r.watch >= 0) detail += " watch=" + std::to_string(r.watch);

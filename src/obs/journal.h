@@ -152,6 +152,11 @@ class Journal {
   std::uint64_t next_id_ MDN_GUARDED_BY(mu_) = 1;
 };
 
+/// The canonical journal order: by content (sim_ns, kind, mic, watch,
+/// frequency, aux, value, label), never by id, so it does not depend on
+/// the order in which threads minted the records.
+bool journal_content_before(const JournalRecord& a, const JournalRecord& b);
+
 /// Canonical journal.jsonl: one JSON object per record.  Records are
 /// re-ordered by content (sim_ns, kind, mic, watch, ...), ids are
 /// renumbered to line order and cause links rewritten, so two runs that

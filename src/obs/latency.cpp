@@ -2,31 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
+
+#include "obs/export.h"
 
 namespace mdn::obs {
-namespace {
-
-std::string format_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-/// Same content key as the canonical journal export: profile order must
-/// not depend on mint order, which varies with worker interleaving.
-bool content_before(const JournalRecord& a, const JournalRecord& b) {
-  if (a.sim_ns != b.sim_ns) return a.sim_ns < b.sim_ns;
-  if (a.kind != b.kind) return a.kind < b.kind;
-  if (a.mic != b.mic) return a.mic < b.mic;
-  if (a.watch != b.watch) return a.watch < b.watch;
-  if (a.frequency_hz != b.frequency_hz) return a.frequency_hz < b.frequency_hz;
-  if (a.aux != b.aux) return a.aux < b.aux;
-  if (a.value != b.value) return a.value < b.value;
-  return std::strcmp(a.label, b.label) < 0;
-}
-
-}  // namespace
 
 std::string_view latency_stage_name(LatencyStage stage) noexcept {
   switch (stage) {
@@ -126,7 +105,8 @@ std::size_t LatencyProfiler::profile(JournalKind kind) {
                                  return r.kind != kind;
                                }),
                 records.end());
-  std::stable_sort(records.begin(), records.end(), content_before);
+  // Content order, not mint order, which varies with worker interleaving.
+  std::stable_sort(records.begin(), records.end(), journal_content_before);
   for (const JournalRecord& r : records) profile_action(r.id);
   return records.size();
 }
@@ -204,98 +184,31 @@ std::string LatencyProfiler::render() const {
 }
 
 std::string LatencyProfiler::to_prometheus() const {
+  const std::vector<StageStats> stages = summary();
+  std::vector<PromLabels> stage(stages.size());
+  for (std::size_t i = 0; i < stages.size(); ++i) {
+    stage[i].add("stage", latency_stage_name(stages[i].stage));
+  }
   std::string out;
-  const auto family = [&out](std::string_view name) {
-    out += "# TYPE mdn_latency_stage_";
-    out += name;
-    out += " gauge\n";
-  };
-  const auto samples = [this, &out](std::string_view name, auto value) {
-    for (std::size_t s = 0; s < kLatencyStageCount; ++s) {
-      const StageStats stats = stage_stats(static_cast<LatencyStage>(s));
-      if (stats.count == 0) continue;
-      out += "mdn_latency_stage_";
-      out += name;
-      out += "{stage=\"";
-      out += latency_stage_name(stats.stage);
-      out += "\"} " + value(stats) + "\n";
-    }
-  };
-  family("count");
-  samples("count", [](const StageStats& s) {
-    return std::to_string(s.count);
-  });
-  family("p50_seconds");
-  samples("p50_seconds", [](const StageStats& s) {
-    return format_double(s.p50_ns / 1e9);
-  });
-  family("p99_seconds");
-  samples("p99_seconds", [](const StageStats& s) {
-    return format_double(s.p99_ns / 1e9);
-  });
-  family("max_seconds");
-  samples("max_seconds", [](const StageStats& s) {
-    return format_double(s.max_ns / 1e9);
-  });
-  family("sum_seconds");
-  samples("sum_seconds", [](const StageStats& s) {
-    return format_double(s.sum_ns / 1e9);
-  });
-  out += "# TYPE mdn_latency_actions_profiled gauge\n";
-  out += "mdn_latency_actions_profiled " + std::to_string(actions_.size()) +
-         "\n";
+  PromWriter prom(out);
+  prom.family("mdn_latency_stage_count", "gauge", stage,
+              [&](std::size_t i) { return stages[i].count; });
+  prom.family("mdn_latency_stage_p50_seconds", "gauge", stage,
+              [&](std::size_t i) { return stages[i].p50_ns / 1e9; });
+  prom.family("mdn_latency_stage_p99_seconds", "gauge", stage,
+              [&](std::size_t i) { return stages[i].p99_ns / 1e9; });
+  prom.family("mdn_latency_stage_max_seconds", "gauge", stage,
+              [&](std::size_t i) { return stages[i].max_ns / 1e9; });
+  prom.family("mdn_latency_stage_sum_seconds", "gauge", stage,
+              [&](std::size_t i) { return stages[i].sum_ns / 1e9; });
+  prom.family("mdn_latency_actions_profiled", "gauge");
+  prom.sample(actions_.size());
   return out;
 }
 
 void LatencyProfiler::clear() {
   for (Histogram& hist : hists_) hist.reset();
   actions_.clear();
-}
-
-std::string to_chrome_trace_waterfall(const LatencyProfiler& profiler) {
-  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  char buf[64];
-  const auto format_ts = [&buf](std::int64_t sim_ns) {
-    std::snprintf(buf, sizeof(buf), "%.3f",
-                  static_cast<double>(sim_ns) / 1000.0);
-    return std::string(buf);
-  };
-  bool stage_present[kLatencyStageCount] = {};
-  std::vector<Breakdown> breakdowns;
-  breakdowns.reserve(profiler.actions().size());
-  for (CauseId action : profiler.actions()) {
-    breakdowns.push_back(profiler.breakdown(action));
-    for (const BreakdownHop& hop : breakdowns.back().hops) {
-      stage_present[static_cast<std::size_t>(hop.stage)] = true;
-    }
-  }
-  for (std::size_t s = 0; s < kLatencyStageCount; ++s) {
-    if (!stage_present[s]) continue;
-    if (!first) out += ',';
-    first = false;
-    out += "{\"ph\":\"M\",\"pid\":0,\"tid\":" + std::to_string(s) +
-           ",\"name\":\"thread_name\",\"args\":{\"name\":\"latency/" +
-           std::string(latency_stage_name(static_cast<LatencyStage>(s))) +
-           "\"}}";
-  }
-  for (const Breakdown& b : breakdowns) {
-    for (const BreakdownHop& hop : b.hops) {
-      if (!first) out += ',';
-      first = false;
-      out += "{\"ph\":\"X\",\"pid\":0,\"tid\":" +
-             std::to_string(static_cast<std::size_t>(hop.stage)) +
-             ",\"name\":\"";
-      out += latency_stage_name(hop.stage);
-      out += "\",\"ts\":" + format_ts(hop.from.sim_ns) +
-             ",\"dur\":" + format_ts(hop.delta_ns) +
-             ",\"args\":{\"action\":" + std::to_string(b.action) +
-             ",\"from\":" + std::to_string(hop.from.id) +
-             ",\"to\":" + std::to_string(hop.to.id) + "}}";
-    }
-  }
-  out += "]}";
-  return out;
 }
 
 }  // namespace mdn::obs

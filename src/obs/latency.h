@@ -148,10 +148,4 @@ class LatencyProfiler {
   std::vector<CauseId> actions_;  ///< profiled, in profile order
 };
 
-/// Chrome-trace stage waterfall: one complete span per breakdown hop of
-/// every profiled action, on per-stage "latency/<stage>" tracks, with
-/// sim-time durations — drop the file on ui.perfetto.dev next to the
-/// main trace to see where each action's sim time went.
-std::string to_chrome_trace_waterfall(const LatencyProfiler& profiler);
-
 }  // namespace mdn::obs

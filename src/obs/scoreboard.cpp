@@ -11,12 +11,6 @@
 namespace mdn::obs {
 namespace {
 
-std::string format_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
 /// Watch list indexed for O(log n) nearest-frequency lookup.  The fleet
 /// bench watches thousands of tones over hundreds of thousands of
 /// journal records; the old linear scan per record was quadratic there.
@@ -250,42 +244,37 @@ void Scoreboard::export_to(Registry& registry,
 
 std::string Scoreboard::to_prometheus(
     std::span<const std::string> mic_names) const {
-  const char* const kSeries[] = {"emitted", "detected", "false_positives",
-                                 "missed", "dropped"};
-  std::string out;
-  for (const char* series : kSeries) {
-    out += "# TYPE mdn_scoreboard_";
-    out += series;
-    out += " gauge\n";
-  }
-  out += "# TYPE mdn_scoreboard_recall gauge\n";
-  out += "# TYPE mdn_scoreboard_latency_seconds_p50 gauge\n";
-  out += "# TYPE mdn_scoreboard_latency_seconds_p95 gauge\n";
+  // One label block per non-empty cell, shared by all eight families.
+  std::vector<const Cell*> cells;
+  std::vector<PromLabels> labels;
   for (std::size_t mic = 0; mic < mics_; ++mic) {
-    const std::string labels =
-        "{mic=\"" + prometheus_label_value(mic_label(mic_names, mic)) +
-        "\",watch_hz=\"";
     for (std::size_t w = 0; w < watch_hz_.size(); ++w) {
       const Cell& c = cell(mic, w);
       if (c.empty()) continue;
-      const std::string full =
-          labels + format_double(watch_hz_[w]) + "\"} ";
-      const std::uint64_t values[] = {c.emitted, c.detected,
-                                      c.false_positives, c.missed,
-                                      c.dropped};
-      for (std::size_t i = 0; i < std::size(kSeries); ++i) {
-        out += "mdn_scoreboard_";
-        out += kSeries[i];
-        out += full + std::to_string(values[i]) + "\n";
-      }
-      out += "mdn_scoreboard_recall" + full + format_double(c.recall()) +
-             "\n";
-      out += "mdn_scoreboard_latency_seconds_p50" + full +
-             format_double(c.latency_quantile(0.5)) + "\n";
-      out += "mdn_scoreboard_latency_seconds_p95" + full +
-             format_double(c.latency_quantile(0.95)) + "\n";
+      cells.push_back(&c);
+      labels.emplace_back()
+          .add("mic", mic_label(mic_names, mic))
+          .add("watch_hz", watch_hz_[w]);
     }
   }
+  std::string out;
+  PromWriter prom(out);
+  prom.family("mdn_scoreboard_emitted", "gauge", labels,
+              [&](std::size_t i) { return cells[i]->emitted; });
+  prom.family("mdn_scoreboard_detected", "gauge", labels,
+              [&](std::size_t i) { return cells[i]->detected; });
+  prom.family("mdn_scoreboard_false_positives", "gauge", labels,
+              [&](std::size_t i) { return cells[i]->false_positives; });
+  prom.family("mdn_scoreboard_missed", "gauge", labels,
+              [&](std::size_t i) { return cells[i]->missed; });
+  prom.family("mdn_scoreboard_dropped", "gauge", labels,
+              [&](std::size_t i) { return cells[i]->dropped; });
+  prom.family("mdn_scoreboard_recall", "gauge", labels,
+              [&](std::size_t i) { return cells[i]->recall(); });
+  prom.family("mdn_scoreboard_latency_seconds_p50", "gauge", labels,
+              [&](std::size_t i) { return cells[i]->latency_quantile(0.5); });
+  prom.family("mdn_scoreboard_latency_seconds_p95", "gauge", labels,
+              [&](std::size_t i) { return cells[i]->latency_quantile(0.95); });
   return out;
 }
 

@@ -13,7 +13,7 @@
 // CDF source).  export_to() materialises the counts and latency
 // histograms in a Registry so they flow through the existing
 // Prometheus/JSONL exporters; to_prometheus() renders labeled series
-// with spec-compliant label-value escaping.
+// through the shared PromWriter (obs/export.h).
 #pragma once
 
 #include <cstdint>
@@ -92,9 +92,10 @@ class Scoreboard {
   void export_to(Registry& registry,
                  const std::string& prefix = "score") const;
 
-  /// Labeled Prometheus series (gauges) with mic/watch label values run
-  /// through prometheus_label_value() — hostile microphone names
-  /// (backslashes, quotes, newlines) round-trip per the text format.
+  /// Labeled gauges mdn_scoreboard_{emitted,detected,false_positives,
+  /// missed,dropped,recall,latency_seconds_p50,latency_seconds_p95}
+  /// {mic=...,watch_hz=...} over the non-empty cells.  Hostile microphone
+  /// names (backslashes, quotes, newlines) round-trip per the text format.
   std::string to_prometheus(
       std::span<const std::string> mic_names = {}) const;
 

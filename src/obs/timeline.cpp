@@ -4,16 +4,9 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "obs/export.h"
+
 namespace mdn::obs {
-namespace {
-
-std::string format_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
-}
-
-}  // namespace
 
 Timeline::Timeline(TimelineOptions options)
     : capacity_(options.capacity == 0 ? 1 : options.capacity) {
@@ -115,7 +108,8 @@ std::string Timeline::to_timeline_jsonl() const {
     out += "{\"t_ns\":" + std::to_string(time_at(i)) + ",\"values\":{";
     for (std::size_t t = 0; t < tracks_.size(); ++t) {
       if (t != 0) out += ',';
-      out += "\"" + tracks_[t].name + "\":" + format_double(value_at(i, t));
+      out += "\"" + json_escape(tracks_[t].name) + "\":";
+      append_number(out, value_at(i, t));
     }
     out += "}}\n";
   }
@@ -124,28 +118,24 @@ std::string Timeline::to_timeline_jsonl() const {
 
 std::string Timeline::to_prometheus() const {
   std::string out;
-  out += "# TYPE mdn_timeline_samples gauge\n";
-  out += "mdn_timeline_samples " + std::to_string(sampled_) + "\n";
-  out += "# TYPE mdn_timeline_dropped gauge\n";
-  out += "mdn_timeline_dropped " + std::to_string(dropped()) + "\n";
-  const auto family = [&out, this](std::string_view name, auto value) {
-    out += "# TYPE mdn_timeline_";
-    out += name;
-    out += " gauge\n";
-    for (std::size_t t = 0; t < tracks_.size(); ++t) {
-      const Rollup r = rollup(t);
-      out += "mdn_timeline_";
-      out += name;
-      out += "{track=\"" + tracks_[t].name + "\"} " + value(r) + "\n";
-    }
-  };
-  if (size() != 0) {
-    family("last", [](const Rollup& r) { return format_double(r.last); });
-    family("min", [](const Rollup& r) { return format_double(r.min); });
-    family("max", [](const Rollup& r) { return format_double(r.max); });
-    family("rate_per_second",
-           [](const Rollup& r) { return format_double(r.rate_per_s); });
+  PromWriter prom(out);
+  prom.family("mdn_timeline_samples", "gauge");
+  prom.sample(sampled_);
+  prom.family("mdn_timeline_dropped", "gauge");
+  prom.sample(dropped());
+  if (size() == 0) return out;
+  std::vector<PromLabels> track(tracks_.size());
+  for (std::size_t t = 0; t < tracks_.size(); ++t) {
+    track[t].add("track", tracks_[t].name);
   }
+  prom.family("mdn_timeline_last", "gauge", track,
+              [&](std::size_t t) { return rollup(t).last; });
+  prom.family("mdn_timeline_min", "gauge", track,
+              [&](std::size_t t) { return rollup(t).min; });
+  prom.family("mdn_timeline_max", "gauge", track,
+              [&](std::size_t t) { return rollup(t).max; });
+  prom.family("mdn_timeline_rate_per_second", "gauge", track,
+              [&](std::size_t t) { return rollup(t).rate_per_s; });
   return out;
 }
 
@@ -191,12 +181,14 @@ std::string Timeline::render_sparklines(std::size_t width) const {
       }
       out += kLevels[level];
     }
-    std::snprintf(buf, sizeof(buf),
-                  "  last=%s min=%s max=%s rate=%s/s\n",
-                  format_double(r.last).c_str(), format_double(r.min).c_str(),
-                  format_double(r.max).c_str(),
-                  format_double(r.rate_per_s).c_str());
-    out += buf;
+    const std::pair<const char*, double> stats[] = {
+        {"  last=", r.last}, {" min=", r.min}, {" max=", r.max},
+        {" rate=", r.rate_per_s}};
+    for (const auto& [key, value] : stats) {
+      out += key;
+      append_number(out, value);
+    }
+    out += "/s\n";
   }
   return out;
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 namespace mdn::net {
@@ -121,6 +122,19 @@ TEST(EventLoop, PeriodicFirstDelayIndependentOfPeriod) {
   });
   loop.run();
   EXPECT_EQ(fires, (std::vector<SimTime>{5, 105, 205}));
+}
+
+TEST(EventLoop, PeriodicFreesItsCallbackOnceStopped) {
+  EventLoop loop;
+  auto state = std::make_shared<int>(0);
+  const std::weak_ptr<int> watch = state;
+  loop.schedule_periodic(10, 10, [state] { return ++*state < 3; });
+  state.reset();
+  loop.run_until(15);
+  EXPECT_FALSE(watch.expired());  // the pending firing owns the callback
+  loop.run();
+  EXPECT_EQ(loop.now(), 30);
+  EXPECT_TRUE(watch.expired());
 }
 
 TEST(EventLoop, NestedSchedulingDuringDispatch) {

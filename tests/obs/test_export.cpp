@@ -2,7 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
+#include <map>
+#include <set>
+#include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
+
+#include "obs/health.h"
+#include "obs/latency.h"
+#include "obs/scoreboard.h"
+#include "obs/timeline.h"
 
 namespace mdn::obs {
 namespace {
@@ -44,13 +58,166 @@ TEST(ExportTest, PrometheusNamesSanitiseHostileInput) {
 TEST(ExportTest, PrometheusLabelValueEscaping) {
   // Per the text-format spec only backslash, double quote and newline
   // are escaped inside label values.
-  EXPECT_EQ(prometheus_label_value("plain"), "plain");
-  EXPECT_EQ(prometheus_label_value("a\\b"), "a\\\\b");
-  EXPECT_EQ(prometheus_label_value("say \"hi\""), "say \\\"hi\\\"");
-  EXPECT_EQ(prometheus_label_value("two\nlines"), "two\\nlines");
-  EXPECT_EQ(prometheus_label_value("tab\tok"), "tab\tok");  // untouched
-  EXPECT_EQ(prometheus_label_value("rack\\1 \"mic\"\nA"),
-            "rack\\\\1 \\\"mic\\\"\\nA");
+  const auto label = [](std::string_view value) {
+    return PromLabels().add("l", value).text();
+  };
+  EXPECT_EQ(label("plain"), "{l=\"plain\"}");
+  EXPECT_EQ(label("a\\b"), "{l=\"a\\\\b\"}");
+  EXPECT_EQ(label("say \"hi\""), "{l=\"say \\\"hi\\\"\"}");
+  EXPECT_EQ(label("two\nlines"), "{l=\"two\\nlines\"}");
+  EXPECT_EQ(label("tab\tok"), "{l=\"tab\tok\"}");  // untouched
+  EXPECT_EQ(label("rack\\1 \"mic\"\nA"),
+            "{l=\"rack\\\\1 \\\"mic\\\"\\nA\"}");
+}
+
+TEST(ExportTest, PrometheusLabelBlocksJoinAndSpellNumbers) {
+  EXPECT_EQ(PromLabels().text(), "");
+  EXPECT_EQ(PromLabels().add("mic", "m0").add("watch_hz", 1200.5).text(),
+            "{mic=\"m0\",watch_hz=\"1200.5\"}");
+  EXPECT_EQ(PromLabels().add("watch", std::size_t{3}).text(),
+            "{watch=\"3\"}");
+}
+
+TEST(ExportTest, NumberSpellingMatchesPrintfG9) {
+  std::vector<double> values = {0.0, -0.0, 1.0, -1.0, 0.1, 1.0 / 3.0,
+                                123456789.0, 1234567891.0, 2.5e-7,
+                                std::numeric_limits<double>::denorm_min(),
+                                -std::numeric_limits<double>::denorm_min(),
+                                std::numeric_limits<double>::min() / 3.0,
+                                std::numeric_limits<double>::min(),
+                                std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::lowest()};
+  for (int e = -320; e <= 308; ++e) {
+    for (double mantissa : {1.0, 1.5, 9.87654321, 9.999999999}) {
+      const double v = mantissa * std::pow(10.0, e);
+      if (!std::isfinite(v)) continue;
+      values.push_back(v);
+      values.push_back(-v);
+    }
+  }
+  for (double v : values) {
+    char expected[64];
+    std::snprintf(expected, sizeof(expected), "%.9g", v);
+    std::string spelled;
+    append_number(spelled, v);
+    EXPECT_EQ(spelled, expected) << "for " << v;
+  }
+}
+
+TEST(ExportTest, NonFiniteNumbersUseTheTextFormatSpelling) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::string out;
+  append_number(out, std::numeric_limits<double>::quiet_NaN());
+  out += ' ';
+  append_number(out, inf);
+  out += ' ';
+  append_number(out, -inf);
+  EXPECT_EQ(out, "NaN +Inf -Inf");
+}
+
+TEST(ExportTest, IntegersAreSpelledExactly) {
+  Registry reg;
+  const std::uint64_t big = (std::uint64_t{1} << 53) + 1;  // not a double
+  reg.counter("big").add(big);
+  reg.gauge("neg").set(std::numeric_limits<std::int64_t>::min() + 1);
+  const std::string prom = to_prometheus(reg.snapshot());
+  EXPECT_NE(prom.find("mdn_big 9007199254740993\n"), std::string::npos)
+      << prom;
+  EXPECT_NE(prom.find("mdn_neg -9223372036854775807\n"), std::string::npos)
+      << prom;
+  EXPECT_NE(to_jsonl(reg.snapshot()).find("\"value\":9007199254740993"),
+            std::string::npos);
+}
+
+// Families in the order their groups appear.  Fails the test when a
+// family's TYPE line is missing, repeated or after its first sample.
+std::vector<std::string> family_groups(const std::string& prom) {
+  std::vector<std::string> groups;
+  std::map<std::string, std::string> types;
+  std::istringstream in(prom);
+  for (std::string line; std::getline(in, line);) {
+    std::string family;
+    if (line.rfind("# TYPE ", 0) == 0) {
+      std::istringstream type_line(line.substr(7));
+      std::string type;
+      type_line >> family >> type;
+      EXPECT_TRUE(types.emplace(family, type).second)
+          << "second TYPE line for " << family;
+    } else {
+      family = line.substr(0, line.find_first_of("{ "));
+      for (const std::string_view suffix : {"_bucket", "_sum", "_count"}) {
+        const auto base =
+            types.find(family.substr(0, family.size() - suffix.size()));
+        if (family.ends_with(suffix) && base != types.end() &&
+            base->second == "histogram") {
+          family = base->first;
+          break;
+        }
+      }
+      EXPECT_TRUE(types.count(family) != 0)
+          << family << " sampled before its TYPE line";
+    }
+    if (groups.empty() || groups.back() != family) groups.push_back(family);
+  }
+  return groups;
+}
+
+void expect_one_group_per_family(const std::string& prom) {
+  const std::vector<std::string> groups = family_groups(prom);
+  EXPECT_FALSE(groups.empty());
+  const std::set<std::string> families(groups.begin(), groups.end());
+  EXPECT_EQ(families.size(), groups.size()) << prom;
+}
+
+TEST(ExportTest, EveryViewKeepsEachFamilyInOneGroup) {
+  expect_one_group_per_family(to_prometheus(sample_registry().snapshot()));
+
+  // Two mics x two watches, every cell non-empty.
+  Journal journal;
+  journal.enable(64);
+  for (std::uint32_t mic = 0; mic < 2; ++mic) {
+    for (double hz : {800.0, 1200.0}) {
+      JournalRecord emitted;
+      emitted.kind = JournalKind::kToneEmitted;
+      emitted.frequency_hz = hz;
+      emitted.mic = mic;
+      JournalRecord detected = emitted;
+      detected.kind = JournalKind::kToneDetected;
+      detected.sim_ns = 10'000'000;
+      detected.cause = journal.append(emitted);
+      journal.append(detected);
+    }
+  }
+  const Scoreboard board = Scoreboard::build(journal);
+  ASSERT_EQ(board.mic_count(), 2u);
+  ASSERT_EQ(board.watch_count(), 2u);
+  expect_one_group_per_family(board.to_prometheus());
+
+  LatencyProfiler profiler(journal);
+  profiler.profile(JournalKind::kToneDetected);
+  expect_one_group_per_family(profiler.to_prometheus());
+
+  Health health(HealthConfig{.watch_count = 2});
+  for (const char* name : {"front", "rear"}) {
+    MicSignalEstimator& mic = health.estimator(health.add_mic(name));
+    mic.begin_block(0.1, BlockSignalStats{.noise_floor = 0.01});
+    mic.observe_watch(0, true, true, 1.0, 0);
+    mic.observe_watch(1, true, true, 0.5, 0);
+    mic.end_block();
+  }
+  expect_one_group_per_family(health.to_prometheus());
+
+  Counter packets;
+  Gauge depth;
+  Timeline timeline;
+  timeline.track_counter("pkts", packets);
+  timeline.track_gauge("depth", depth);
+  for (int i = 0; i < 3; ++i) {
+    packets.add(5);
+    depth.set(i);
+    timeline.sample(i * 1'000'000'000LL);
+  }
+  expect_one_group_per_family(timeline.to_prometheus());
 }
 
 TEST(ExportTest, HostileMetricPathsSurviveAllExporters) {

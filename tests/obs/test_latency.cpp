@@ -6,6 +6,7 @@
 #include <numeric>
 #include <string>
 
+#include "obs/export.h"
 #include "obs/journal.h"
 
 namespace mdn::obs {
@@ -150,12 +151,37 @@ TEST(LatencyProfilerTest, ChromeTraceWaterfallEmitsStageTracks) {
   LatencyProfiler profiler(journal);
   profiler.profile(JournalKind::kFlowMod);
 
-  const std::string trace = to_chrome_trace_waterfall(profiler);
+  const std::string trace = to_chrome_trace(Tracer(), nullptr, &profiler);
   EXPECT_EQ(trace.front(), '{');
   EXPECT_EQ(trace.back(), '}');
   EXPECT_NE(trace.find("latency/capture"), std::string::npos);
   EXPECT_NE(trace.find("latency/actuate"), std::string::npos);
   EXPECT_NE(trace.find("\"ph\":\"X\""), std::string::npos);
+  // Alone, the stage tracks are numbered from 0 by stage index.
+  EXPECT_NE(trace.find("{\"ph\":\"M\",\"pid\":0,\"tid\":1,\"name\":"
+                       "\"thread_name\",\"args\":"
+                       "{\"name\":\"latency/capture\"}}"),
+            std::string::npos);
+}
+
+TEST(LatencyProfilerTest, ChromeTraceLayersShareOneEnvelope) {
+  Journal journal;
+  journal.enable(64);
+  append_pipeline(journal, 0);
+  LatencyProfiler profiler(journal);
+  profiler.profile(JournalKind::kFlowMod);
+  Tracer tracer;
+  tracer.track("net/loop");
+
+  const std::string trace = to_chrome_trace(tracer, &journal, &profiler);
+  EXPECT_EQ(trace.find("displayTimeUnit"), trace.rfind("displayTimeUnit"));
+  EXPECT_NE(trace.find("journal/flow_mod"), std::string::npos);
+  // Layer tracks follow the tracer's one track, journal kinds first:
+  // capture (stage 1) lands on 1 + kJournalKindCount + 1.
+  const std::string capture_tid =
+      "\"tid\":" + std::to_string(1 + kJournalKindCount + 1) +
+      ",\"name\":\"thread_name\",\"args\":{\"name\":\"latency/capture\"}";
+  EXPECT_NE(trace.find(capture_tid), std::string::npos);
 }
 
 }  // namespace

@@ -117,6 +117,46 @@ TEST(TimelineTest, JsonlIsCanonicalOldestFirst) {
   EXPECT_EQ(jsonl, timeline.to_timeline_jsonl());
 }
 
+// Reads the quoted string whose opening quote ends `prefix` in `text`,
+// undoing the \\, \" and \n escapes JSON and the Prometheus text format
+// share.  `rest` gets what follows the closing quote.
+std::string unquote_after(const std::string& text, const std::string& prefix,
+                          std::string* rest) {
+  std::size_t i = text.find(prefix);
+  EXPECT_NE(i, std::string::npos) << text;
+  std::string value;
+  for (i += prefix.size(); i < text.size() && text[i] != '"'; ++i) {
+    EXPECT_NE(text[i], '\n') << "raw newline inside a quoted string";
+    if (text[i] == '\\' && ++i < text.size()) {
+      value += text[i] == 'n' ? '\n' : text[i];
+    } else {
+      value += text[i];
+    }
+  }
+  *rest = i < text.size() ? text.substr(i + 1) : "";
+  return value;
+}
+
+TEST(TimelineTest, HostileTrackNamesAreEscapedInJsonlAndLabels) {
+  const std::string name = "say \"hi\" \\ then\nbreak";
+  Counter c;
+  Timeline timeline({.capacity = 4});
+  timeline.track_counter(name, c);
+  c.add(3);
+  timeline.sample(0);
+
+  // One JSON line whose key is the JSON-escaped name.
+  const std::string jsonl = timeline.to_timeline_jsonl();
+  std::string rest;
+  EXPECT_EQ(unquote_after(jsonl, "{\"t_ns\":0,\"values\":{\"", &rest), name);
+  EXPECT_EQ(rest, ":3}}\n");
+
+  // The label value unescapes back to the name.
+  const std::string prom = timeline.to_prometheus();
+  EXPECT_EQ(unquote_after(prom, "mdn_timeline_last{track=\"", &rest), name);
+  EXPECT_EQ(rest.substr(0, 4), "} 3\n");
+}
+
 TEST(TimelineTest, PrometheusRollupFamilies) {
   Counter c;
   Timeline timeline({.capacity = 8});
