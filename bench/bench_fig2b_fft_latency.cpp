@@ -52,8 +52,8 @@ mdn::audio::Waveform sample_block(std::uint64_t seed) {
 // peak picking — what ToneDetector::detect cost before the plan layer.
 std::vector<mdn::core::DetectedTone> detect_unplanned(
     std::span<const double> block, std::span<const double> window,
-    const mdn::core::ToneDetectorConfig& cfg, mdn::obs::Histogram* hist) {
-  mdn::obs::ScopedTimerNs timer(hist);
+    const mdn::core::ToneDetectorConfig& cfg, const mdn::obs::Stage& stage) {
+  const auto timed = stage.scope();
   const std::size_t n = std::min(block.size(), cfg.fft_size);
   std::vector<mdn::dsp::Complex> data(cfg.fft_size);
   for (std::size_t i = 0; i < n; ++i) {
@@ -155,25 +155,28 @@ int run_cdf(int samples) {
   auto& registry = mdn::obs::Registry::global();
   registry.reset();
   auto& unplanned_hist = registry.histogram("dsp/fft_unplanned/wall_ns");
+  const mdn::obs::Stage unplanned(&unplanned_hist);
 
   // Per-call spans on a standalone tracer; the pseudo-timeline places
-  // block i at its microphone time (i hops of 50 ms).
+  // block i at its microphone time (i hops of 50 ms).  The detector
+  // itself feeds "dsp/fft/wall_ns", so this stage is span-only.
   mdn::obs::Tracer tracer;
   tracer.enable();
-  const auto track = tracer.track("dsp/detector");
+  const mdn::obs::Stage detect(nullptr, &tracer, "detect",
+                               tracer.track("dsp/detector"));
 
   constexpr std::int64_t kHopNs = 50'000'000;
   std::vector<mdn::core::DetectedTone> tones;
   for (int i = 0; i < samples; ++i) {
     const auto block = sample_block(static_cast<std::uint64_t>(i));
     {
-      mdn::obs::TraceSpan span(&tracer, "detect", track, i * kHopNs);
+      const auto timed = detect.scope(i * kHopNs);
       detector.detect_into(block.samples(), tones);
       benchmark::DoNotOptimize(tones.data());
     }
     // Same block through the seed-replica path for the trajectory claim.
     auto baseline = detect_unplanned(block.samples(), window, cfg,
-                                     &unplanned_hist);
+                                     unplanned);
     benchmark::DoNotOptimize(baseline);
   }
 

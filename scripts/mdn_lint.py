@@ -258,6 +258,7 @@ SCOPE_OPEN = re.compile(
 FUNC_DEF = re.compile(
     r"(?:^|[;{}])\s*"                                # statement boundary
     r"(?:template\s*<[^;{}]*>\s*)?"                  # template header
+    r"(?:\[\[[^;{}\[\]]*\]\]\s*)*"                  # [[attributes]]
     r"(?:[A-Za-z_][\w:<>,*&\s]*?[\s*&])??"           # return type (optional
     r"((?:[A-Za-z_]\w*\s*::\s*)*~?[A-Za-z_]\w*)\s*"  #   for ctor/dtor)
     r"\(([^;{}]*)\)\s*"                              # parameter list

@@ -1,6 +1,7 @@
 #include "mdn/controller.h"
 
 #include <cmath>
+#include <stdexcept>
 
 #include "obs/journal.h"
 
@@ -33,10 +34,16 @@ MdnController::MdnController(net::EventLoop& loop,
   auto& registry = obs::Registry::global();
   blocks_counter_ = &registry.counter("mdn/controller/blocks");
   onsets_counter_ = &registry.counter("mdn/controller/onsets");
-  record_wall_ns_ = &registry.histogram("mdn/controller/record_wall_ns");
-  detect_wall_ns_ = &registry.histogram("mdn/controller/detect_wall_ns");
-  match_wall_ns_ = &registry.histogram("mdn/controller/match_wall_ns");
-  trace_track_ = loop_.tracer().track("mdn/controller");
+  obs::Tracer& tracer = loop_.tracer();
+  const std::uint32_t track = tracer.track("mdn/controller");
+  const auto stage = [&](std::string_view span, const char* hist) {
+    return obs::Stage(hist != nullptr ? &registry.histogram(hist) : nullptr,
+                      &tracer, span, track);
+  };
+  record_ = stage("controller/record", "mdn/controller/record_wall_ns");
+  submit_ = stage("controller/submit", nullptr);
+  detect_ = stage("controller/detect", "mdn/controller/detect_wall_ns");
+  match_ = stage("controller/match", "mdn/controller/match_wall_ns");
 }
 
 void MdnController::watch(double frequency_hz, Handler handler) {
@@ -56,6 +63,11 @@ void MdnController::observe_blocks(BlockObserver observer) {
 
 void MdnController::start() {
   if (running_) return;
+  if (config_.sink == nullptr && config_.health != nullptr &&
+      config_.sink_mic >= config_.health->mic_count()) {
+    throw std::logic_error(
+        "MdnController: health engine has no estimator for sink_mic");
+  }
   running_ = true;
   const net::SimTime hop = net::from_seconds(config_.hop_s);
   loop_.schedule_periodic(hop, hop, [this] { return tick(); });
@@ -63,7 +75,6 @@ void MdnController::start() {
 
 bool MdnController::tick() {
   if (!running_) return false;
-  obs::Tracer& tracer = loop_.tracer();
   const net::SimTime sim_now = loop_.now();
   const double now_s = net::to_seconds(sim_now);
   const double start_s = now_s - config_.hop_s;
@@ -71,8 +82,7 @@ bool MdnController::tick() {
   // Stage 1: record the last hop off the acoustic channel.
   audio::Waveform block(channel_.sample_rate());
   {
-    obs::TraceSpan span(&tracer, "controller/record", trace_track_, sim_now);
-    obs::ScopedTimerNs timer(record_wall_ns_);
+    const auto timed = record_.scope(sim_now);
     block = microphone_.record(channel_, start_s, config_.hop_s);
   }
   ++blocks_;
@@ -98,7 +108,7 @@ bool MdnController::tick() {
   // detection happens on its sharded workers and onsets come back
   // through the ordered merge, not through this controller's watches.
   if (config_.sink != nullptr) {
-    obs::TraceSpan span(&tracer, "controller/submit", trace_track_, sim_now);
+    const auto timed = submit_.scope(sim_now);
     config_.sink->submit_block(
         config_.sink_mic, start_s, block.samples(),
         std::span<const audio::EmissionTag>(tag_scratch_.data(), ntags));
@@ -129,8 +139,7 @@ bool MdnController::tick() {
   obs::BlockSignalStats stats;
   obs::MicSignalEstimator* est = nullptr;
   {
-    obs::TraceSpan span(&tracer, "controller/detect", trace_track_, sim_now);
-    obs::ScopedTimerNs timer(detect_wall_ns_);
+    const auto timed = detect_.scope(sim_now);
     detector_.detect_into(block.samples(), tones,
                           config_.health != nullptr ? &stats : nullptr);
   }
@@ -143,8 +152,7 @@ bool MdnController::tick() {
   // journaled, logged and dispatched in watch order; the estimator's
   // evidence is upgraded from the emission tag to the detection record.
   {
-    obs::TraceSpan span(&tracer, "controller/match", trace_track_, sim_now);
-    obs::ScopedTimerNs timer(match_wall_ns_);
+    const auto timed = match_.scope(sim_now);
     matcher_.match(
         tones, std::span<const audio::EmissionTag>(tag_scratch_.data(), ntags),
         active_, est,
@@ -168,7 +176,7 @@ bool MdnController::tick() {
           }
           log_.push_back(event);
           onsets_counter_->inc();
-          tracer.instant("onset", trace_track_, sim_now);
+          loop_.tracer().instant("onset", match_.track(), sim_now);
           if (handlers_[wi]) handlers_[wi](event);
           return event.cause != 0 ? event.cause : cause;
         });

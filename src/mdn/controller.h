@@ -70,7 +70,9 @@ class MdnController {
   void observe_blocks(BlockObserver observer);
 
   /// Begins periodic listening at the configured hop.  Listening stops
-  /// when stop() is called or the event loop drains.
+  /// when stop() is called or the event loop drains.  Throws
+  /// std::logic_error when an inline controller's health engine has no
+  /// estimator for sink_mic.
   void start();
   void stop() noexcept { running_ = false; }
   bool running() const noexcept { return running_; }
@@ -115,10 +117,10 @@ class MdnController {
   // wall timers behind §3's latency claims; spans go to the loop tracer.
   obs::Counter* blocks_counter_;
   obs::Counter* onsets_counter_;
-  obs::Histogram* record_wall_ns_;
-  obs::Histogram* detect_wall_ns_;
-  obs::Histogram* match_wall_ns_;
-  std::uint32_t trace_track_;
+  obs::Stage record_;
+  obs::Stage submit_;  // span only
+  obs::Stage detect_;
+  obs::Stage match_;
 };
 
 }  // namespace mdn::core

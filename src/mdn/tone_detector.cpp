@@ -40,9 +40,8 @@ ToneDetector::ToneDetector(const ToneDetectorConfig& config)
     : config_(config),
       plan_(dsp::PlanCache::global().real_plan(config.fft_size)),
       window_(dsp::make_window(config.window, config.fft_size)),
-      fft_wall_ns_(&obs::Registry::global().histogram("dsp/fft/wall_ns")),
-      goertzel_wall_ns_(
-          &obs::Registry::global().histogram("dsp/goertzel/wall_ns")) {
+      fft_(&obs::Registry::global().histogram("dsp/fft/wall_ns")),
+      goertzel_(&obs::Registry::global().histogram("dsp/goertzel/wall_ns")) {
   if (config.sample_rate <= 0.0 || config.fft_size == 0) {
     throw std::invalid_argument("ToneDetector: invalid configuration");
   }
@@ -69,7 +68,7 @@ void ToneDetector::detect_into(std::span<const double> block,
                                obs::BlockSignalStats* stats) const {
   // The paper's Fig 2b "FFT processing time" covers this whole path:
   // window + zero-padded FFT + peak picking over one microphone block.
-  obs::ScopedTimerNs timer(fft_wall_ns_);
+  const auto timed = fft_.realtime_scope();
   detect_impl(block, out, stats);
 }
 
@@ -229,16 +228,9 @@ void ToneDetector::detect_batch_into(
         "ToneDetector::detect_batch_into: span size mismatch");
   }
   if (blocks.empty()) return;
-  // One wall-time sample per block, from the batch total split evenly:
-  // histogram counts stay one-per-block while the hot path pays for two
-  // clock reads per batch instead of two per block.
-  const std::int64_t start = obs::wall_now_ns();
+  // One wall-time sample per block from two clock reads per batch.
+  const auto timed = fft_.realtime_scope(blocks.size());
   detect_batch_impl(blocks, outs, stats);
-  const std::int64_t per_block = (obs::wall_now_ns() - start) /
-                                 static_cast<std::int64_t>(blocks.size());
-  for (std::size_t b = 0; b < blocks.size(); ++b) {
-    fft_wall_ns_->record(static_cast<double>(per_block));
-  }
 }
 
 void ToneDetector::warm_up() const {
@@ -287,7 +279,7 @@ std::vector<double> ToneDetector::set_levels(
 void ToneDetector::set_levels_into(std::span<const double> block,
                                    const dsp::GoertzelBank& bank,
                                    std::span<double> out) const {
-  obs::ScopedTimerNs timer(goertzel_wall_ns_);
+  const auto timed = goertzel_.realtime_scope();
   bank.block_amplitudes(block, out);
 }
 

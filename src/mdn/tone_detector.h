@@ -37,7 +37,7 @@
 #include "dsp/spectrum.h"
 #include "dsp/window.h"
 #include "obs/health.h"
-#include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace mdn::core {
 
@@ -163,9 +163,9 @@ class ToneDetector {
   std::shared_ptr<const dsp::RealFftPlan> plan_;
   std::vector<double> window_;        // fft_size analysis window
   std::vector<double> block_window_;  // block_size window (may be empty)
-  // Wall-time histograms ("dsp/fft/wall_ns" is the Fig 2b CDF source).
-  obs::Histogram* fft_wall_ns_;
-  obs::Histogram* goertzel_wall_ns_;
+  // Wall-time stages ("dsp/fft/wall_ns" is the Fig 2b CDF source).
+  obs::Stage fft_;
+  obs::Stage goertzel_;
 };
 
 /// A tone onset: `frequency_hz` rose above threshold at `time_s`.

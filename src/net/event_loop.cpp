@@ -9,10 +9,10 @@ namespace mdn::net {
 EventLoop::EventLoop()
     : events_dispatched_(
           &obs::Registry::global().counter("net/loop/events_dispatched")),
-      callback_wall_ns_(
-          &obs::Registry::global().histogram("net/loop/callback_wall_ns")),
       queue_depth_(&obs::Registry::global().gauge("net/loop/queue_depth")),
-      track_(tracer_.track("net/loop")) {}
+      callback_(
+          &obs::Registry::global().histogram("net/loop/callback_wall_ns"),
+          &tracer_, "event", tracer_.track("net/loop")) {}
 
 void EventLoop::push_event(Event ev) {
   heap_.push_back(std::move(ev));
@@ -138,8 +138,7 @@ bool EventLoop::step() {
     --live_;
     now_ = ev.time;
     {
-      obs::TraceSpan span(&tracer_, "event", track_, now_);
-      obs::ScopedTimerNs timer(callback_wall_ns_);
+      const auto timed = callback_.scope(now_);
       ev.cb();
     }
     ++dispatched_count_;

@@ -19,6 +19,8 @@ namespace mdn::net {
 class EventLoop {
  public:
   EventLoop();
+  EventLoop(const EventLoop&) = delete;
+  EventLoop& operator=(const EventLoop&) = delete;
 
   using Callback = std::function<void()>;
   using EventId = std::uint64_t;
@@ -63,8 +65,6 @@ class EventLoop {
   /// records — it never schedules — so event ordering is unchanged.
   obs::Tracer& tracer() noexcept { return tracer_; }
   const obs::Tracer& tracer() const noexcept { return tracer_; }
-  /// Track id for spans recorded by the loop itself.
-  std::uint32_t trace_track() const noexcept { return track_; }
 
  private:
   // Heap node with the callback stored inline: scheduling a batch-scale
@@ -102,10 +102,10 @@ class EventLoop {
   std::uint64_t dispatched_count_ = 0;
   // Process-wide instruments, resolved once at construction.
   obs::Counter* events_dispatched_;
-  obs::Histogram* callback_wall_ns_;
   obs::Gauge* queue_depth_;
   obs::Tracer tracer_;
-  std::uint32_t track_;
+  // Each callback: "net/loop/callback_wall_ns" plus an "event" span.
+  obs::Stage callback_;
 };
 
 }  // namespace mdn::net

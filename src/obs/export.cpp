@@ -223,14 +223,6 @@ void add_tracer(std::string& trace, const Tracer& tracer) {
   for (std::size_t i = 0; i < tracks.size(); ++i) {
     add_track_name(trace, i, tracks[i]);
   }
-  if (tracer.dropped() != 0) {
-    // Surface the bound: a capped tracer that overflowed says so in the
-    // trace itself, so a viewer knows the timeline is truncated.
-    next_event(trace) +=
-        "{\"ph\":\"i\",\"pid\":0,\"tid\":0,\"name\":"
-        "\"tracer_events_dropped\",\"ts\":0,\"s\":\"g\",\"args\":"
-        "{\"dropped\":" + std::to_string(tracer.dropped()) + "}}";
-  }
   for (const TraceEvent& ev : tracer.events()) {
     std::string& out = next_event(trace);
     out += "{\"ph\":\"";

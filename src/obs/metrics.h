@@ -236,26 +236,7 @@ class Registry {
   std::map<std::string, Entry> entries_ MDN_GUARDED_BY(mu_);
 };
 
-/// Monotonic wall clock in nanoseconds (steady_clock).
+/// Monotonic wall clock in nanoseconds (steady_clock); see obs::Stage.
 std::int64_t wall_now_ns();
-
-/// RAII wall timer: records elapsed nanoseconds into `hist` (no-op when
-/// null) at scope exit.
-class ScopedTimerNs {
- public:
-  explicit ScopedTimerNs(Histogram* hist) noexcept
-      : hist_(hist), start_(hist ? wall_now_ns() : 0) {}
-  ScopedTimerNs(const ScopedTimerNs&) = delete;
-  ScopedTimerNs& operator=(const ScopedTimerNs&) = delete;
-  ~ScopedTimerNs() {
-    if (hist_ != nullptr) {
-      hist_->record(static_cast<double>(wall_now_ns() - start_));
-    }
-  }
-
- private:
-  Histogram* hist_;
-  std::int64_t start_;
-};
 
 }  // namespace mdn::obs

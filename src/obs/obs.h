@@ -2,6 +2,7 @@
 //
 //   metrics.h    counters / gauges / log-bucketed histograms, Registry
 //   trace.h      sim-time spans and instant events (per-EventLoop Tracer)
+//                and obs::Stage, the stage timer feeding histogram + span
 //   journal.h    causal provenance journal (CauseId flight recorder)
 //   latency.h    per-stage latency attribution over journal cause chains
 //   timeline.h   bounded sim-time sampling of registry instruments

@@ -2,14 +2,6 @@
 
 namespace mdn::obs {
 
-void Tracer::set_capacity(std::size_t cap) {
-  capacity_ = cap;
-  if (cap != 0) {
-    if (events_.size() > cap) events_.resize(cap);
-    events_.reserve(cap);
-  }
-}
-
 std::uint32_t Tracer::track(std::string_view name) {
   for (std::size_t i = 0; i < tracks_.size(); ++i) {
     if (tracks_[i] == name) return static_cast<std::uint32_t>(i);
@@ -20,28 +12,16 @@ std::uint32_t Tracer::track(std::string_view name) {
 
 void Tracer::instant(std::string_view name, std::uint32_t track,
                      std::int64_t sim_ns) {
-  if (!enabled_ || !has_room()) return;
-  TraceEvent ev;
-  ev.name.assign(name);
-  ev.phase = 'i';
-  ev.track = track;
-  ev.sim_ns = sim_ns;
-  ev.wall_ns = clock_();
-  events_.push_back(std::move(ev));
+  if (!enabled_) return;
+  events_.push_back({std::string(name), 'i', track, sim_ns, clock_(), 0});
 }
 
 void Tracer::complete(std::string_view name, std::uint32_t track,
                       std::int64_t sim_ns, std::int64_t wall_start_ns,
                       std::int64_t wall_dur_ns) {
-  if (!enabled_ || !has_room()) return;
-  TraceEvent ev;
-  ev.name.assign(name);
-  ev.phase = 'X';
-  ev.track = track;
-  ev.sim_ns = sim_ns;
-  ev.wall_ns = wall_start_ns;
-  ev.wall_dur_ns = wall_dur_ns;
-  events_.push_back(std::move(ev));
+  if (!enabled_) return;
+  events_.push_back(
+      {std::string(name), 'X', track, sim_ns, wall_start_ns, wall_dur_ns});
 }
 
 }  // namespace mdn::obs

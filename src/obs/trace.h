@@ -7,6 +7,9 @@
 // one — and is disabled by default: when off, recording is a single
 // branch, so tracing-capable code costs nothing in production runs and
 // cannot perturb event ordering either way (it only ever observes).
+//
+// obs::Stage times a pipeline stage: one clock pair per scope feeds both
+// its registry histogram and, while tracing, its span.
 #pragma once
 
 #include <cstdint>
@@ -34,16 +37,6 @@ class Tracer {
   void enable(bool on = true) noexcept { enabled_ = on; }
   bool enabled() const noexcept { return enabled_; }
 
-  /// Bounds event storage: at most `cap` events are kept (preallocated
-  /// here, so recording never grows the vector); once full, further
-  /// events are counted in dropped() instead of stored.  0 restores the
-  /// legacy unbounded mode.  Long fleet runs set a cap so an enabled
-  /// tracer cannot grow without limit.
-  void set_capacity(std::size_t cap);
-  std::size_t capacity() const noexcept { return capacity_; }
-  /// Events discarded because the capacity was reached.
-  std::uint64_t dropped() const noexcept { return dropped_; }
-
   /// Registers (or finds) a named track — one horizontal lane in the
   /// trace viewer, e.g. "net/loop" or "mdn/controller".
   std::uint32_t track(std::string_view name);
@@ -70,55 +63,112 @@ class Tracer {
     return tracks_;
   }
 
-  void clear() noexcept {
-    events_.clear();
-    dropped_ = 0;
-  }
+  void clear() noexcept { events_.clear(); }
 
  private:
-  bool has_room() noexcept {
-    if (capacity_ == 0 || events_.size() < capacity_) return true;
-    ++dropped_;
-    return false;
-  }
-
   bool enabled_ = false;
   WallClock clock_ = &wall_now_ns;
-  std::size_t capacity_ = 0;  ///< 0 = unbounded
-  std::uint64_t dropped_ = 0;
   std::vector<TraceEvent> events_;
   std::vector<std::string> tracks_;
 };
 
-/// RAII span: measures wall time from construction to destruction and
-/// records a complete event.  Entirely a no-op when the tracer is null
-/// or disabled (one branch at construction).
-class TraceSpan {
+/// One timed pipeline stage: the registry histogram its wall time feeds
+/// (null: none) and the span it records on `tracer` (null: none) under
+/// `name` on `track`; `name` must outlive the stage.  Each scope reads one
+/// clock pair and records `count` equal histogram samples of the integer
+/// average, so a batch of `count` blocks keeps one sample per block.
+/// scope() reads the tracer's clock while it is enabled, wall_now_ns()
+/// otherwise and none when there is nothing to feed, and while tracing
+/// also records one span from the same reading.  Spans allocate, so
+/// MDN_REALTIME code uses realtime_scope(): histogram only, on
+/// wall_now_ns(), so the realtime lint proves no audio path reaches the
+/// span store.
+class Stage {
  public:
-  TraceSpan(Tracer* tracer, std::string_view name, std::uint32_t track,
-            std::int64_t sim_ns) noexcept
-      : tracer_(tracer != nullptr && tracer->enabled() ? tracer : nullptr),
-        name_(name),
-        track_(track),
-        sim_ns_(sim_ns),
-        wall_start_ns_(tracer_ != nullptr ? tracer_->wall_now() : 0) {}
+  Stage() = default;
+  explicit Stage(Histogram* hist, Tracer* tracer = nullptr,
+                 std::string_view name = {}, std::uint32_t track = 0) noexcept
+      : hist_(hist), tracer_(tracer), name_(name), track_(track) {}
 
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-
-  ~TraceSpan() {
-    if (tracer_ != nullptr) {
-      tracer_->complete(name_, track_, sim_ns_,
-                        wall_start_ns_, tracer_->wall_now() - wall_start_ns_);
+  class Scope {
+   public:
+    Scope(const Scope&) = delete;
+    Scope& operator=(const Scope&) = delete;
+    ~Scope() {
+      if (hist_ == nullptr && tracer_ == nullptr) return;
+      const std::int64_t elapsed = now() - start_;
+      record_split(hist_, elapsed, count_);
+      if (tracer_ != nullptr) {
+        tracer_->complete(name_, track_, sim_ns_, start_, elapsed);
+      }
     }
+
+   private:
+    friend class Stage;
+    Scope(const Stage& s, std::int64_t sim_ns, std::size_t count) noexcept
+        : hist_(s.hist_),
+          tracer_(s.tracer_ != nullptr && s.tracer_->enabled() ? s.tracer_
+                                                               : nullptr),
+          name_(s.name_),
+          track_(s.track_),
+          sim_ns_(sim_ns),
+          count_(count),
+          start_(hist_ != nullptr || tracer_ != nullptr ? now() : 0) {}
+    std::int64_t now() const {
+      return tracer_ != nullptr ? tracer_->wall_now() : wall_now_ns();
+    }
+
+    Histogram* hist_;
+    Tracer* tracer_;  ///< null unless enabled at entry
+    std::string_view name_;
+    std::uint32_t track_;
+    std::int64_t sim_ns_;
+    std::size_t count_;
+    std::int64_t start_;
+  };
+
+  class RealtimeScope {
+   public:
+    RealtimeScope(const RealtimeScope&) = delete;
+    RealtimeScope& operator=(const RealtimeScope&) = delete;
+    ~RealtimeScope() {
+      if (hist_ != nullptr) record_split(hist_, wall_now_ns() - start_, count_);
+    }
+
+   private:
+    friend class Stage;
+    RealtimeScope(Histogram* hist, std::size_t count) noexcept
+        : hist_(hist), count_(count), start_(hist ? wall_now_ns() : 0) {}
+
+    Histogram* hist_;
+    std::size_t count_;
+    std::int64_t start_;
+  };
+
+  [[nodiscard]] Scope scope(std::int64_t sim_ns = 0,
+                            std::size_t count = 1) const noexcept {
+    return Scope(*this, sim_ns, count);
+  }
+  [[nodiscard]] RealtimeScope realtime_scope(
+      std::size_t count = 1) const noexcept {
+    return RealtimeScope(hist_, count);
   }
 
+  std::uint32_t track() const noexcept { return track_; }
+
  private:
-  Tracer* tracer_;
+  static void record_split(Histogram* hist, std::int64_t elapsed,
+                           std::size_t count) noexcept {
+    if (hist == nullptr || count == 0) return;
+    const auto each =
+        static_cast<double>(elapsed / static_cast<std::int64_t>(count));
+    for (std::size_t i = 0; i < count; ++i) hist->record(each);
+  }
+
+  Histogram* hist_ = nullptr;
+  Tracer* tracer_ = nullptr;
   std::string_view name_;
-  std::uint32_t track_;
-  std::int64_t sim_ns_;
-  std::int64_t wall_start_ns_;
+  std::uint32_t track_ = 0;
 };
 
 }  // namespace mdn::obs

@@ -117,6 +117,9 @@ bool StreamRuntime::submit_block(std::uint32_t mic, double start_s,
   if (finished_) {
     throw std::logic_error("StreamRuntime: submit after finish()");
   }
+  if (mic >= queues_.size()) {
+    throw std::out_of_range("StreamRuntime: submit to an unknown mic");
+  }
   std::vector<double> buffer = acquire_buffer();
   buffer.assign(samples.begin(), samples.end());
   AudioBlock block{next_seq_[mic], mic, start_s, std::move(buffer)};

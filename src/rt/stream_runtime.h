@@ -104,7 +104,8 @@ class StreamRuntime final : public core::BlockSink {
   /// kDropOldest discard an older block and still return true.  Legal
   /// before start() (blocks queue up for the workers), illegal after
   /// finish(); submitting to a full ring under kBlock before start()
-  /// spins until workers exist.  `tags` (at most 8 kept) are the
+  /// spins until workers exist.  A mic id add_mic() never returned
+  /// throws std::out_of_range.  `tags` (at most 8 kept) are the
   /// ground-truth emission ids overlapping the block; a drop mints a
   /// journal record citing them, a detection cites the matching one.
   using core::BlockSink::submit_block;

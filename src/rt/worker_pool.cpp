@@ -22,11 +22,6 @@ WorkerPool::WorkerPool(const core::ToneDetector& detector,
   auto& registry = obs::Registry::global();
   processed_counter_ = &registry.counter("rt/runtime/blocks_processed");
   events_counter_ = &registry.counter("rt/runtime/events");
-  block_wall_ns_.reserve(workers_);
-  for (std::size_t t = 0; t < workers_; ++t) {
-    block_wall_ns_.push_back(&registry.histogram(
-        "rt/worker/" + std::to_string(t) + "/block_wall_ns"));
-  }
   active_.resize(queues_.size());
   for (auto& row : active_) row.assign(matcher_.size(), 0);
 }
@@ -59,13 +54,15 @@ void WorkerPool::join() {
 
 void WorkerPool::run_worker(std::size_t index) {
   // All first-call costs — plan build, SIMD dispatch selection, this
-  // thread's detect scratch — happen before the handshake completes, so
-  // nothing multi-millisecond pollutes the first timed block.
+  // thread's detect scratch, its registry lookup — happen before the
+  // handshake completes, so nothing multi-millisecond pollutes the first
+  // timed block.
+  const obs::Stage wall(&obs::Registry::global().histogram(
+      "rt/worker/" + std::to_string(index) + "/block_wall_ns"));
   detector_.warm_up();
   // mo: release publishes this worker's warm-up state to start()'s acquire loop
   warmed_.fetch_add(1, std::memory_order_release);
 
-  obs::Histogram* wall_ns = block_wall_ns_[index];
   BatchScratch scratch;
   std::vector<char> closed(queues_.size(), 0);
   for (;;) {
@@ -91,7 +88,7 @@ void WorkerPool::run_worker(std::size_t index) {
         if (q.depth != nullptr) {
           q.depth->add(-static_cast<std::int64_t>(got));
         }
-        process_batch(scratch, got, active_[mic], wall_ns);
+        process_batch(scratch, got, active_[mic], wall);
         did_work = true;
         all_closed = false;
       } else if (producers_done) {
@@ -110,8 +107,8 @@ void WorkerPool::run_worker(std::size_t index) {
 
 void WorkerPool::process_batch(BatchScratch& scratch, std::size_t count,
                                std::vector<char>& active,
-                               obs::Histogram* wall_ns) {
-  const std::int64_t batch_start = obs::wall_now_ns();
+                               const obs::Stage& wall) {
+  const auto timed = wall.realtime_scope(count);
   // One batched detection for the whole run (blocks are consecutive
   // seqs of one mic), then the per-block pipeline in pop order through
   // the same core::WatchMatcher as the serial controller path, so the
@@ -178,18 +175,11 @@ void WorkerPool::process_batch(BatchScratch& scratch, std::size_t count,
     (void)free_buffers_.try_push(std::move(block.samples));
   }
 
-  // Amortised telemetry: one atomic flush per batch, and the per-worker
-  // wall histogram gets `count` samples of the batch average so its
-  // count stays one-per-block.
+  // Amortised telemetry: one atomic flush per batch.
   // mo: monitoring counter, no ordering needed with other state
   processed_.fetch_add(count, std::memory_order_relaxed);
   processed_counter_->add(count);
   if (batch_events > 0) events_counter_->add(batch_events);
-  const std::int64_t per_block = (obs::wall_now_ns() - batch_start) /
-                                 static_cast<std::int64_t>(count);
-  for (std::size_t b = 0; b < count; ++b) {
-    wall_ns->record(static_cast<double>(per_block));
-  }
 }
 
 }  // namespace mdn::rt

@@ -22,6 +22,7 @@
 #include "mdn/tone_detector.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "rt/ordered_merge.h"
 #include "rt/ring_buffer.h"
 
@@ -117,13 +118,13 @@ class WorkerPool {
   /// consecutive blocks of a single mic, then match + merge-push per
   /// block in pop (seq) order — per-block results and merge interleaving
   /// are bit-identical to processing the blocks one at a time.  Counter
-  /// and gauge traffic is flushed once per batch, and the per-worker
-  /// wall histogram receives `count` samples of the batch average, so
+  /// and gauge traffic is flushed once per batch, and the worker's
+  /// `wall` stage records `count` samples of the batch average, so
   /// downstream consumers keep their one-sample-per-block semantics.
   /// Steady-state allocation-free (audited in tests/rt).
   MDN_REALTIME void process_batch(BatchScratch& scratch, std::size_t count,
                                   std::vector<char>& active,
-                                  obs::Histogram* wall_ns);
+                                  const obs::Stage& wall);
 
   const core::ToneDetector& detector_;
   const core::WatchMatcher matcher_;
@@ -142,7 +143,6 @@ class WorkerPool {
   std::atomic<std::uint64_t> processed_{0};
   obs::Counter* processed_counter_;
   obs::Counter* events_counter_;
-  std::vector<obs::Histogram*> block_wall_ns_;  // per worker
 };
 
 }  // namespace mdn::rt

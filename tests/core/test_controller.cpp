@@ -158,5 +158,21 @@ TEST_F(ControllerFixture, MicNoiseFloorDoesNotTriggerWatches) {
   EXPECT_EQ(fired, 0);
 }
 
+TEST_F(ControllerFixture, StartThrowsWhenHealthHasNoEstimatorForTheMic) {
+  obs::Health health;
+  auto cfg = config();
+  cfg.health = &health;
+  cfg.sink_mic = 0;
+  MdnController ctl(loop, channel, cfg);
+  EXPECT_THROW(ctl.start(), std::logic_error);
+  EXPECT_FALSE(ctl.running());
+
+  health.add_mic("m");
+  ctl.start();
+  loop.schedule_at(net::from_seconds(0.3), [&] { ctl.stop(); });
+  loop.run();
+  EXPECT_EQ(health.estimator(0).blocks(), ctl.blocks_processed());
+}
+
 }  // namespace
 }  // namespace mdn::core

@@ -416,6 +416,22 @@ TEST(ToneDetectorBatch, MixedLengthBlocksFallBackPerBlock) {
   }
 }
 
+TEST(ToneDetectorBatch, RecordsOneWallSamplePerBlock) {
+  // Fig 2b's CDF counts blocks: a fused batch of three blocks adds
+  // exactly three samples to "dsp/fft/wall_ns".
+  ToneDetector det;
+  const auto block = tone(820.0, 0.2, 0.05);
+  const std::span<const double> blocks[] = {block.samples(), block.samples(),
+                                            block.samples()};
+  std::vector<DetectedTone> outs[3];
+  std::vector<DetectedTone>* out_ptrs[] = {&outs[0], &outs[1], &outs[2]};
+  const obs::Histogram& wall =
+      obs::Registry::global().histogram("dsp/fft/wall_ns");
+  const std::uint64_t before = wall.count();
+  det.detect_batch_into(blocks, out_ptrs);
+  EXPECT_EQ(wall.count() - before, 3u);
+}
+
 TEST(ToneDetectorBatch, ThrowsOnSpanSizeMismatch) {
   ToneDetector det;
   const auto block = tone(700.0, 0.1, 0.05);

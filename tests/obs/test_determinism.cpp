@@ -3,6 +3,7 @@
 // instrumented run's ToneEvent log must be bit-identical to a plain run.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "audio/channel.h"
@@ -20,6 +21,8 @@ struct RunResult {
   std::vector<ToneEvent> log;
   std::uint64_t blocks = 0;
   std::uint64_t dispatched = 0;
+  std::vector<obs::TraceEvent> trace;
+  std::vector<std::string> tracks;
 };
 
 // One full listening experiment: three tones (two watched frequencies,
@@ -64,6 +67,8 @@ RunResult run_scenario(bool traced) {
   r.log = ctl.event_log();
   r.blocks = ctl.blocks_processed();
   r.dispatched = loop.dispatched();
+  r.trace = loop.tracer().events();
+  r.tracks = loop.tracer().track_names();
   return r;
 }
 
@@ -113,6 +118,31 @@ TEST(ObsDeterminism, InstrumentsObserveTheRun) {
   const auto* dispatched = find("net/loop/events_dispatched");
   ASSERT_NE(dispatched, nullptr);
   EXPECT_EQ(dispatched->counter, r.dispatched);
+}
+
+TEST(ObsDeterminism, EachStageTimingFeedsItsHistogramAndSpan) {
+  obs::Registry::global().reset();
+  const RunResult r = run_scenario(true);
+  EXPECT_EQ(obs::Registry::global()
+                .histogram("net/loop/callback_wall_ns")
+                .count(),
+            r.dispatched);
+  // One "event" span per dispatch on the loop's track, and one record,
+  // detect and match span per tick, in that order, on the controller's.
+  std::uint64_t events = 0;
+  std::vector<std::string> stages;
+  for (const obs::TraceEvent& ev : r.trace) {
+    if (ev.phase != 'X') continue;
+    if (r.tracks[ev.track] == "net/loop" && ev.name == "event") ++events;
+    if (r.tracks[ev.track] == "mdn/controller") stages.push_back(ev.name);
+  }
+  EXPECT_EQ(events, r.dispatched);
+  ASSERT_EQ(stages.size(), 3 * r.blocks);
+  for (std::size_t i = 0; i < stages.size(); i += 3) {
+    EXPECT_EQ(stages[i], "controller/record") << i;
+    EXPECT_EQ(stages[i + 1], "controller/detect") << i;
+    EXPECT_EQ(stages[i + 2], "controller/match") << i;
+  }
 }
 
 }  // namespace

@@ -9,12 +9,16 @@ namespace {
 
 std::int64_t fake_clock() { return 42; }
 
+// A clock that advances 1000 ns per read, so every read shows.
+std::int64_t g_clock_reads = 0;
+std::int64_t stepping_clock() { return ++g_clock_reads * 1000; }
+
 TEST(TracerTest, DisabledByDefaultAndRecordsNothing) {
   Tracer t;
   EXPECT_FALSE(t.enabled());
   const auto track = t.track("net/loop");
   t.instant("onset", track, 1000);
-  { TraceSpan span(&t, "work", track, 2000); }
+  { const auto timed = Stage(nullptr, &t, "work", track).scope(2000); }
   EXPECT_TRUE(t.events().empty());
 }
 
@@ -47,8 +51,8 @@ TEST(TracerTest, SpanUsesInjectedClock) {
   Tracer t;
   t.enable();
   t.set_wall_clock(&fake_clock);
-  const auto track = t.track("x");
-  { TraceSpan span(&t, "work", track, 7000); }
+  const Stage stage(nullptr, &t, "work", t.track("x"));
+  { const auto timed = stage.scope(7000); }
   ASSERT_EQ(t.events().size(), 1u);
   EXPECT_EQ(t.events()[0].name, "work");
   EXPECT_EQ(t.events()[0].sim_ns, 7000);
@@ -56,7 +60,83 @@ TEST(TracerTest, SpanUsesInjectedClock) {
 }
 
 TEST(TracerTest, NullTracerSpanIsANoop) {
-  TraceSpan span(nullptr, "nothing", 0, 0);  // must not crash
+  const Stage stage(nullptr, nullptr, "nothing");
+  const auto timed = stage.scope();  // must not crash
+}
+
+TEST(StageTest, OneClockPairFeedsHistogramAndSpan) {
+  Tracer t;
+  t.enable();
+  t.set_wall_clock(&stepping_clock);
+  Histogram hist;
+  const Stage stage(&hist, &t, "work", t.track("x"));
+  g_clock_reads = 0;
+  { const auto timed = stage.scope(7000); }
+  EXPECT_EQ(g_clock_reads, 2);
+  ASSERT_EQ(t.events().size(), 1u);
+  const TraceEvent& span = t.events()[0];
+  EXPECT_EQ(span.phase, 'X');
+  EXPECT_EQ(span.sim_ns, 7000);
+  EXPECT_EQ(span.wall_ns, 1000);
+  EXPECT_EQ(span.wall_dur_ns, 1000);
+  const auto snap = hist.snapshot();
+  ASSERT_EQ(snap.count, 1u);
+  EXPECT_EQ(snap.sum, static_cast<double>(span.wall_dur_ns));
+}
+
+TEST(StageTest, DisabledOrNullTracerLeavesOnlyTheHistogramSample) {
+  Tracer disabled;
+  disabled.set_wall_clock(&stepping_clock);
+  Histogram hist;
+  g_clock_reads = 0;
+  { const auto timed = Stage(&hist, &disabled, "work").scope(); }
+  { const auto timed = Stage(&hist, nullptr, "work").scope(); }
+  EXPECT_EQ(g_clock_reads, 0);  // a disabled tracer's clock is not used
+  EXPECT_TRUE(disabled.events().empty());
+  EXPECT_EQ(hist.count(), 2u);
+}
+
+TEST(StageTest, NullHistogramLeavesOnlyTheSpan) {
+  Tracer t;
+  t.enable();
+  t.set_wall_clock(&stepping_clock);
+  const Stage stage(nullptr, &t, "work", t.track("x"));
+  g_clock_reads = 0;
+  { const auto timed = stage.scope(5000); }
+  EXPECT_EQ(g_clock_reads, 2);
+  ASSERT_EQ(t.events().size(), 1u);
+  EXPECT_EQ(t.events()[0].wall_dur_ns, 1000);
+}
+
+TEST(StageTest, BatchCountRecordsEqualSamplesOfTheIntegerAverage) {
+  Tracer t;
+  t.enable();
+  t.set_wall_clock(&stepping_clock);
+  Histogram hist;
+  const Stage stage(&hist, &t, "batch", t.track("x"));
+  g_clock_reads = 0;
+  { const auto timed = stage.scope(0, 3); }
+  const auto snap = hist.snapshot();
+  ASSERT_EQ(snap.count, 3u);
+  EXPECT_EQ(snap.min, 333.0);  // 1000 ns over 3 blocks, integer average
+  EXPECT_EQ(snap.max, 333.0);
+  EXPECT_EQ(snap.sum, 999.0);
+  ASSERT_EQ(t.events().size(), 1u);  // one span for the whole batch
+  EXPECT_EQ(t.events()[0].wall_dur_ns, 1000);
+}
+
+TEST(StageTest, RealtimeScopeFeedsOnlyTheHistogram) {
+  Tracer t;
+  t.enable();
+  t.set_wall_clock(&stepping_clock);
+  Histogram hist;
+  const Stage stage(&hist, &t, "batch", t.track("x"));
+  g_clock_reads = 0;
+  { const auto timed = stage.realtime_scope(3); }
+  { const auto timed = Stage().realtime_scope(); }  // nothing to feed
+  EXPECT_EQ(g_clock_reads, 0);      // never the tracer's clock
+  EXPECT_TRUE(t.events().empty());  // and never a span
+  EXPECT_EQ(hist.count(), 3u);
 }
 
 // Golden test: the exact Chrome trace_event JSON for a fixed event

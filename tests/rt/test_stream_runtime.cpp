@@ -246,6 +246,35 @@ TEST(StreamRuntime, SubmitAfterFinishThrows) {
                std::logic_error);
 }
 
+TEST(StreamRuntime, SubmitToUnknownMicThrows) {
+  StreamRuntime runtime(base_config(1));
+  const auto mic = runtime.add_mic("m");
+  EXPECT_THROW(runtime.submit_block(mic + 1, 0.0, silent_block()),
+               std::out_of_range);
+  runtime.finish();
+  EXPECT_EQ(runtime.stats().submitted, 0u);
+  EXPECT_EQ(runtime.stats().processed, 0u);
+}
+
+TEST(StreamRuntime, WorkerWallHistogramCountsEveryBlock) {
+  // Blocks queued before start() reach the worker in batches (4 + 4 + 3
+  // here); each batch is timed once, yet the worker's wall histogram
+  // still holds one sample per block.
+  const obs::Histogram& wall =
+      obs::Registry::global().histogram("rt/worker/0/block_wall_ns");
+  const std::uint64_t before = wall.count();
+  constexpr std::uint64_t kBlocks = 11;
+  StreamRuntime runtime(base_config(1));
+  const auto mic = runtime.add_mic("m");
+  for (std::uint64_t hop = 0; hop < kBlocks; ++hop) {
+    runtime.submit_block(mic, static_cast<double>(hop) * kHopS,
+                         tone_block(800.0));
+  }
+  runtime.finish();
+  EXPECT_EQ(runtime.stats().processed, kBlocks);
+  EXPECT_EQ(wall.count() - before, kBlocks);
+}
+
 TEST(StreamRuntime, AddMicAfterStartThrows) {
   StreamRuntime runtime(base_config(1));
   runtime.add_mic("m");
