@@ -6,12 +6,11 @@ enforced here over the whole tree on every CI run:
 
 Real-time purity
     Functions annotated ``MDN_REALTIME`` (src/common/annotations.h) are
-    the audio hot path: ToneDetector::detect_into / detect_batch_into /
-    set_levels_into, FftPlan::execute / execute_batch_soa,
-    RealFftPlan::execute_batch, the SIMD kernel dispatch
+    the audio hot path: ToneDetector::detect_into / set_levels_into,
+    FftPlan::execute / RealFftPlan::execute, the SIMD kernel dispatch
     (simd::active_kernels), GoertzelBank evaluation, RingBuffer
-    push/pop, Journal::append, WorkerPool batch processing
-    (process_batch), the MicSignalEstimator health hooks
+    push/pop, Journal::append, WorkerPool block processing
+    (process_block), the MicSignalEstimator health hooks
     (begin_block / observe_watch / end_block / queue_alert) and the
     metrics-timeline sampling hook (Timeline::sample — it runs inside
     the event loop's periodic callback, so it must stay pure relaxed

@@ -160,51 +160,6 @@ void FftPlan::execute(std::span<Complex> data,
   }
 }
 
-void FftPlan::execute_batch_soa(std::span<double> re, std::span<double> im,
-                                std::size_t lanes) const {
-  if (m_ != 0) {
-    throw std::invalid_argument(
-        "FftPlan::execute_batch_soa: power-of-two sizes only");
-  }
-  if (lanes == 0 || n_ <= 1) return;
-  if (re.size() < n_ * lanes || im.size() < n_ * lanes) {
-    throw std::invalid_argument(
-        "FftPlan::execute_batch_soa: buffers too small");
-  }
-
-  // Same permutation + stage walk as execute_pow2, with every scalar
-  // element widened to a `lanes`-double row; per-lane arithmetic is the
-  // identical op sequence, so each lane matches a solo execute()
-  // bit-for-bit.
-  double* rp = re.data();
-  double* ip = im.data();
-  for (std::size_t i = 1; i < n_; ++i) {
-    const std::size_t j = bitrev_[i];
-    if (i < j) {
-      double* ra = rp + i * lanes;
-      double* rb = rp + j * lanes;
-      double* ia = ip + i * lanes;
-      double* ib = ip + j * lanes;
-      for (std::size_t l = 0; l < lanes; ++l) {
-        std::swap(ra[l], rb[l]);
-        std::swap(ia[l], ib[l]);
-      }
-    }
-  }
-  const simd::Kernels& kern = simd::active_kernels();
-  const Complex* stage = twiddles_.data();
-  for (std::size_t len = 2; len <= n_; len <<= 1) {
-    const std::size_t half = len / 2;
-    for (std::size_t i = 0; i < n_; i += len) {
-      double* ar = rp + i * lanes;
-      double* ai = ip + i * lanes;
-      kern.butterfly_soa(ar, ai, ar + half * lanes, ai + half * lanes, stage,
-                         half, lanes);
-    }
-    stage += half;
-  }
-}
-
 std::vector<Complex> FftPlan::transform(std::span<const Complex> input) const {
   std::vector<Complex> data(input.begin(), input.end());
   std::vector<Complex> scratch(scratch_size());
@@ -274,61 +229,6 @@ void RealFftPlan::execute(std::span<const double> input,
   for (std::size_t i = 0; i < n_; ++i) data[i] = Complex{input[i], 0.0};
   full_plan_->execute(data, scratch.subspan(n_));
   for (std::size_t k = 0; k < bins(); ++k) out_bins[k] = data[k];
-}
-
-void RealFftPlan::execute_batch(std::span<const double* const> inputs,
-                                std::span<Complex* const> out_bins,
-                                std::span<double> re_scratch,
-                                std::span<double> im_scratch) const {
-  if (half_plan_ == nullptr) {
-    throw std::invalid_argument(
-        "RealFftPlan::execute_batch: packed-real sizes only");
-  }
-  const std::size_t lanes = inputs.size();
-  if (out_bins.size() != lanes) {
-    throw std::invalid_argument(
-        "RealFftPlan::execute_batch: inputs/out_bins size mismatch");
-  }
-  if (lanes == 0) return;
-  const std::size_t half = n_ / 2;
-  if (re_scratch.size() < half * lanes || im_scratch.size() < half * lanes) {
-    throw std::invalid_argument(
-        "RealFftPlan::execute_batch: scratch too small");
-  }
-
-  // Pack every lane's samples as the interleaved SoA rows of one
-  // half-size complex batch: z_l[i] = {x_l[2i], x_l[2i+1]}.
-  double* rp = re_scratch.data();
-  double* ip = im_scratch.data();
-  for (std::size_t i = 0; i < half; ++i) {
-    double* rrow = rp + i * lanes;
-    double* irow = ip + i * lanes;
-    for (std::size_t l = 0; l < lanes; ++l) {
-      rrow[l] = inputs[l][2 * i];
-      irow[l] = inputs[l][2 * i + 1];
-    }
-  }
-  half_plan_->execute_batch_soa(re_scratch.first(half * lanes),
-                                im_scratch.first(half * lanes), lanes);
-
-  // Untangle per lane with the very same complex arithmetic as
-  // execute(); combined with the per-lane bit-identity of the batched
-  // FFT this makes every lane's bins match the single-channel path
-  // bit-for-bit.
-  for (std::size_t l = 0; l < lanes; ++l) {
-    Complex* out = out_bins[l];
-    for (std::size_t k = 0; k <= half / 2; ++k) {
-      const std::size_t km = (half - k) % half;
-      const Complex a = Complex{rp[k * lanes + l], ip[k * lanes + l]};
-      const Complex b =
-          std::conj(Complex{rp[km * lanes + l], ip[km * lanes + l]});
-      const Complex even = 0.5 * (a + b);
-      const Complex odd = Complex{0.0, -0.5} * (a - b);
-      out[k] = even + untangle_[k] * odd;
-      out[half - k] = std::conj(even) + untangle_[half - k] * std::conj(odd);
-    }
-    out[half] = Complex{rp[l] - ip[l], 0.0};
-  }
 }
 
 std::vector<Complex> RealFftPlan::spectrum(

@@ -58,20 +58,6 @@ class FftPlan {
   MDN_REALTIME void execute(std::span<Complex> data,
                             std::span<Complex> scratch = {}) const;
 
-  /// True when execute_batch_soa() is usable (power-of-two sizes only).
-  bool supports_batch() const noexcept { return m_ == 0; }
-
-  /// Batched in-place transform of `lanes` independent channels stored
-  /// structure-of-arrays: element k of channel l lives at
-  /// re[k*lanes + l] / im[k*lanes + l] (re and im each hold
-  /// size()*lanes doubles).  One bit-reversal + butterfly sweep serves
-  /// all lanes; each lane's result is bit-identical to running
-  /// execute() on that channel alone.  Power-of-two sizes only
-  /// (supports_batch()).  Performs no heap allocation.
-  MDN_REALTIME void execute_batch_soa(std::span<double> re,
-                                      std::span<double> im,
-                                      std::size_t lanes) const;
-
   /// Convenience out-of-place form (allocates the result and scratch).
   std::vector<Complex> transform(std::span<const Complex> input) const;
 
@@ -115,27 +101,6 @@ class RealFftPlan {
   MDN_REALTIME void execute(std::span<const double> input,
                             std::span<Complex> out_bins,
                             std::span<Complex> scratch) const;
-
-  /// True when execute_batch() is usable (the packed-real path, i.e.
-  /// power-of-two sizes >= 4).
-  bool supports_batch() const noexcept { return half_plan_ != nullptr; }
-
-  /// Doubles each of re_scratch/im_scratch must provide for a
-  /// `lanes`-channel execute_batch(): (size()/2) * lanes.
-  std::size_t batch_scratch_doubles(std::size_t lanes) const noexcept {
-    return (n_ / 2) * lanes;
-  }
-
-  /// Batched transform: inputs[l] points at size() samples of channel
-  /// l, out_bins[l] at >= bins() output bins (l < lanes =
-  /// inputs.size() == out_bins.size()).  One packed SoA half-size FFT
-  /// serves all lanes; each lane's bins are bit-identical to execute()
-  /// on that channel alone.  Requires supports_batch().  Performs no
-  /// heap allocation.
-  MDN_REALTIME void execute_batch(std::span<const double* const> inputs,
-                                  std::span<Complex* const> out_bins,
-                                  std::span<double> re_scratch,
-                                  std::span<double> im_scratch) const;
 
   /// Convenience form returning the bins() half spectrum (allocates).
   std::vector<Complex> spectrum(std::span<const double> input) const;

@@ -50,13 +50,6 @@ void mag_scale_aos_scalar(const Complex* bins, double scale, double* out,
   }
 }
 
-void mag_scale_soa_scalar(const double* re, const double* im, double scale,
-                          double* out, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = std::sqrt(re[i] * re[i] + im[i] * im[i]) * scale;
-  }
-}
-
 void butterfly_aos_scalar(Complex* a, Complex* b, const Complex* tw,
                           std::size_t half) {
   double* ap = flat(a);
@@ -72,29 +65,6 @@ void butterfly_aos_scalar(Complex* a, Complex* b, const Complex* tw,
     ap[2 * k + 1] = ai + vi;
     bp[2 * k] = ar - vr;
     bp[2 * k + 1] = ai - vi;
-  }
-}
-
-void butterfly_soa_scalar(double* a_re, double* a_im, double* b_re,
-                          double* b_im, const Complex* tw, std::size_t half,
-                          std::size_t lanes) {
-  const double* wp = flat(tw);
-  for (std::size_t k = 0; k < half; ++k) {
-    const double wr = wp[2 * k], wi = wp[2 * k + 1];
-    double* ar_row = a_re + k * lanes;
-    double* ai_row = a_im + k * lanes;
-    double* br_row = b_re + k * lanes;
-    double* bi_row = b_im + k * lanes;
-    for (std::size_t l = 0; l < lanes; ++l) {
-      const double br = br_row[l], bi = bi_row[l];
-      const double vr = br * wr - bi * wi;
-      const double vi = br * wi + bi * wr;
-      const double ar = ar_row[l], ai = ai_row[l];
-      ar_row[l] = ar + vr;
-      ai_row[l] = ai + vi;
-      br_row[l] = ar - vr;
-      bi_row[l] = ai - vi;
-    }
   }
 }
 
@@ -141,9 +111,8 @@ double chunk_max_scalar(const double* x, std::size_t n) {
 }
 
 constexpr Kernels kScalarKernels{
-    mul_scalar,         mag_scale_aos_scalar, mag_scale_soa_scalar,
-    butterfly_aos_scalar, butterfly_soa_scalar, cmul_aos_scalar,
-    goertzel_iterate_scalar, chunk_max_scalar,
+    mul_scalar,      mag_scale_aos_scalar,    butterfly_aos_scalar,
+    cmul_aos_scalar, goertzel_iterate_scalar, chunk_max_scalar,
 };
 
 #if MDN_SIMD_X86
@@ -166,21 +135,6 @@ void mul_sse2(const double* a, const double* b, double* out, std::size_t n) {
                   _mm_mul_pd(_mm_loadu_pd(a + i), _mm_loadu_pd(b + i)));
   }
   for (; i < n; ++i) out[i] = a[i] * b[i];
-}
-
-void mag_scale_soa_sse2(const double* re, const double* im, double scale,
-                        double* out, std::size_t n) {
-  const __m128d s = _mm_set1_pd(scale);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128d r = _mm_loadu_pd(re + i);
-    const __m128d m = _mm_loadu_pd(im + i);
-    const __m128d sum = _mm_add_pd(_mm_mul_pd(r, r), _mm_mul_pd(m, m));
-    _mm_storeu_pd(out + i, _mm_mul_pd(_mm_sqrt_pd(sum), s));
-  }
-  for (; i < n; ++i) {
-    out[i] = std::sqrt(re[i] * re[i] + im[i] * im[i]) * scale;
-  }
 }
 
 void mag_scale_aos_sse2(const Complex* bins, double scale, double* out,
@@ -223,44 +177,6 @@ void butterfly_aos_sse2(Complex* a, Complex* b, const Complex* tw,
     const __m128d av = _mm_loadu_pd(ap + 2 * k);
     _mm_storeu_pd(ap + 2 * k, _mm_add_pd(av, v));
     _mm_storeu_pd(bp + 2 * k, _mm_sub_pd(av, v));
-  }
-}
-
-void butterfly_soa_sse2(double* a_re, double* a_im, double* b_re,
-                        double* b_im, const Complex* tw, std::size_t half,
-                        std::size_t lanes) {
-  const double* wp = flat(tw);
-  for (std::size_t k = 0; k < half; ++k) {
-    const double wr = wp[2 * k], wi = wp[2 * k + 1];
-    const __m128d wrv = _mm_set1_pd(wr);
-    const __m128d wiv = _mm_set1_pd(wi);
-    double* ar_row = a_re + k * lanes;
-    double* ai_row = a_im + k * lanes;
-    double* br_row = b_re + k * lanes;
-    double* bi_row = b_im + k * lanes;
-    std::size_t l = 0;
-    for (; l + 2 <= lanes; l += 2) {
-      const __m128d br = _mm_loadu_pd(br_row + l);
-      const __m128d bi = _mm_loadu_pd(bi_row + l);
-      const __m128d vr = _mm_sub_pd(_mm_mul_pd(br, wrv), _mm_mul_pd(bi, wiv));
-      const __m128d vi = _mm_add_pd(_mm_mul_pd(br, wiv), _mm_mul_pd(bi, wrv));
-      const __m128d ar = _mm_loadu_pd(ar_row + l);
-      const __m128d ai = _mm_loadu_pd(ai_row + l);
-      _mm_storeu_pd(ar_row + l, _mm_add_pd(ar, vr));
-      _mm_storeu_pd(ai_row + l, _mm_add_pd(ai, vi));
-      _mm_storeu_pd(br_row + l, _mm_sub_pd(ar, vr));
-      _mm_storeu_pd(bi_row + l, _mm_sub_pd(ai, vi));
-    }
-    for (; l < lanes; ++l) {
-      const double br = br_row[l], bi = bi_row[l];
-      const double vr = br * wr - bi * wi;
-      const double vi = br * wi + bi * wr;
-      const double ar = ar_row[l], ai = ai_row[l];
-      ar_row[l] = ar + vr;
-      ai_row[l] = ai + vi;
-      br_row[l] = ar - vr;
-      bi_row[l] = ai - vi;
-    }
   }
 }
 
@@ -319,9 +235,8 @@ double chunk_max_sse2(const double* x, std::size_t n) {
 }
 
 constexpr Kernels kSse2Kernels{
-    mul_sse2,         mag_scale_aos_sse2, mag_scale_soa_sse2,
-    butterfly_aos_sse2, butterfly_soa_sse2, cmul_aos_sse2,
-    goertzel_iterate_sse2, chunk_max_sse2,
+    mul_sse2,      mag_scale_aos_sse2,    butterfly_aos_sse2,
+    cmul_aos_sse2, goertzel_iterate_sse2, chunk_max_sse2,
 };
 
 // --- AVX2 kernels ------------------------------------------------------
@@ -340,21 +255,6 @@ MDN_AVX2 void mul_avx2(const double* a, const double* b, double* out,
         out + i, _mm256_mul_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i)));
   }
   for (; i < n; ++i) out[i] = a[i] * b[i];
-}
-
-MDN_AVX2 void mag_scale_soa_avx2(const double* re, const double* im,
-                                 double scale, double* out, std::size_t n) {
-  const __m256d s = _mm256_set1_pd(scale);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d r = _mm256_loadu_pd(re + i);
-    const __m256d m = _mm256_loadu_pd(im + i);
-    const __m256d sum = _mm256_add_pd(_mm256_mul_pd(r, r), _mm256_mul_pd(m, m));
-    _mm256_storeu_pd(out + i, _mm256_mul_pd(_mm256_sqrt_pd(sum), s));
-  }
-  for (; i < n; ++i) {
-    out[i] = std::sqrt(re[i] * re[i] + im[i] * im[i]) * scale;
-  }
 }
 
 MDN_AVX2 void mag_scale_aos_avx2(const Complex* bins, double scale,
@@ -401,50 +301,6 @@ MDN_AVX2 void butterfly_aos_avx2(Complex* a, Complex* b, const Complex* tw,
     _mm256_storeu_pd(bp + 2 * k, _mm256_sub_pd(av, v));
   }
   if (k < half) butterfly_aos_sse2(a + k, b + k, tw + k, half - k);
-}
-
-MDN_AVX2 void butterfly_soa_avx2(double* a_re, double* a_im, double* b_re,
-                                 double* b_im, const Complex* tw,
-                                 std::size_t half, std::size_t lanes) {
-  if (lanes < 4) {
-    butterfly_soa_sse2(a_re, a_im, b_re, b_im, tw, half, lanes);
-    return;
-  }
-  const double* wp = flat(tw);
-  for (std::size_t k = 0; k < half; ++k) {
-    const double wr = wp[2 * k], wi = wp[2 * k + 1];
-    const __m256d wrv = _mm256_set1_pd(wr);
-    const __m256d wiv = _mm256_set1_pd(wi);
-    double* ar_row = a_re + k * lanes;
-    double* ai_row = a_im + k * lanes;
-    double* br_row = b_re + k * lanes;
-    double* bi_row = b_im + k * lanes;
-    std::size_t l = 0;
-    for (; l + 4 <= lanes; l += 4) {
-      const __m256d br = _mm256_loadu_pd(br_row + l);
-      const __m256d bi = _mm256_loadu_pd(bi_row + l);
-      const __m256d vr =
-          _mm256_sub_pd(_mm256_mul_pd(br, wrv), _mm256_mul_pd(bi, wiv));
-      const __m256d vi =
-          _mm256_add_pd(_mm256_mul_pd(br, wiv), _mm256_mul_pd(bi, wrv));
-      const __m256d ar = _mm256_loadu_pd(ar_row + l);
-      const __m256d ai = _mm256_loadu_pd(ai_row + l);
-      _mm256_storeu_pd(ar_row + l, _mm256_add_pd(ar, vr));
-      _mm256_storeu_pd(ai_row + l, _mm256_add_pd(ai, vi));
-      _mm256_storeu_pd(br_row + l, _mm256_sub_pd(ar, vr));
-      _mm256_storeu_pd(bi_row + l, _mm256_sub_pd(ai, vi));
-    }
-    for (; l < lanes; ++l) {
-      const double br = br_row[l], bi = bi_row[l];
-      const double vr = br * wr - bi * wi;
-      const double vi = br * wi + bi * wr;
-      const double ar = ar_row[l], ai = ai_row[l];
-      ar_row[l] = ar + vr;
-      ai_row[l] = ai + vi;
-      br_row[l] = ar - vr;
-      bi_row[l] = ai - vi;
-    }
-  }
 }
 
 MDN_AVX2 void cmul_aos_avx2(const Complex* a, const Complex* b, Complex* out,
@@ -508,9 +364,8 @@ MDN_AVX2 double chunk_max_avx2(const double* x, std::size_t n) {
 }
 
 constexpr Kernels kAvx2Kernels{
-    mul_avx2,         mag_scale_aos_avx2, mag_scale_soa_avx2,
-    butterfly_aos_avx2, butterfly_soa_avx2, cmul_aos_avx2,
-    goertzel_iterate_avx2, chunk_max_avx2,
+    mul_avx2,      mag_scale_aos_avx2,    butterfly_aos_avx2,
+    cmul_aos_avx2, goertzel_iterate_avx2, chunk_max_avx2,
 };
 
 #endif  // MDN_SIMD_X86

@@ -51,25 +51,11 @@ struct Kernels {
   void (*mag_scale_aos)(const Complex* bins, double scale, double* out,
                         std::size_t n);
 
-  /// out[i] = sqrt(re[i]^2 + im[i]^2) * scale  (split re/im arrays).
-  void (*mag_scale_soa)(const double* re, const double* im, double scale,
-                        double* out, std::size_t n);
-
   /// One FFT butterfly slice over contiguous k in [0, half):
   ///   v    = b[k] * tw[k]   (vr = br*wr - bi*wi, vi = br*wi + bi*wr)
   ///   b[k] = a[k] - v,  a[k] = a[k] + v
   void (*butterfly_aos)(Complex* a, Complex* b, const Complex* tw,
                         std::size_t half);
-
-  /// The same butterfly slice over `lanes` independent channels stored
-  /// SoA: row k lives at offset k*lanes, and tw[k] is broadcast across
-  /// the row.  One call covers a whole (stage, block) slice so the
-  /// indirect-call cost amortises over half*lanes butterflies:
-  ///   v         = b_row[k] * tw[k]
-  ///   b_row[k]  = a_row[k] - v,  a_row[k] = a_row[k] + v
-  void (*butterfly_soa)(double* a_re, double* a_im, double* b_re,
-                        double* b_im, const Complex* tw, std::size_t half,
-                        std::size_t lanes);
 
   /// out[i] = a[i] * b[i] (complex, AoS): re = ar*br - ai*bi,
   /// im = ar*bi + ai*br.  `out` may alias `a`.

@@ -68,75 +68,6 @@ void amplitude_spectrum_into(std::span<const double> signal,
   if (fft_size % 2 == 0) out[bins - 1] /= 2.0;
 }
 
-void BatchSpectrumWorkspace::resize_for(const RealFftPlan& plan,
-                                        std::size_t lanes) {
-  if (padded.size() < plan.size() * lanes) padded.resize(plan.size() * lanes);
-  if (bins.size() < plan.bins() * lanes) bins.resize(plan.bins() * lanes);
-  const std::size_t soa = plan.batch_scratch_doubles(lanes);
-  if (re_soa.size() < soa) re_soa.resize(soa);
-  if (im_soa.size() < soa) im_soa.resize(soa);
-  if (input_ptrs.size() < lanes) input_ptrs.resize(lanes);
-  if (bin_ptrs.size() < lanes) bin_ptrs.resize(lanes);
-}
-
-void amplitude_spectrum_batch_into(
-    std::span<const std::span<const double>> signals,
-    std::span<const double> window, const RealFftPlan& plan,
-    BatchSpectrumWorkspace& ws, std::span<const std::span<double>> outs) {
-  if (!plan.supports_batch()) {
-    throw std::invalid_argument(
-        "amplitude_spectrum_batch_into: plan does not support batching");
-  }
-  const std::size_t lanes = signals.size();
-  if (outs.size() != lanes) {
-    throw std::invalid_argument(
-        "amplitude_spectrum_batch_into: signals/outs size mismatch");
-  }
-  if (lanes == 0) return;
-  const std::size_t fft_size = plan.size();
-  const std::size_t bins = plan.bins();
-  for (std::size_t l = 0; l < lanes; ++l) {
-    if (signals[l].size() != window.size()) {
-      throw std::invalid_argument(
-          "amplitude_spectrum_batch_into: window size mismatch");
-    }
-    if (signals[l].size() > fft_size) {
-      throw std::invalid_argument(
-          "amplitude_spectrum_batch_into: plan smaller than signal");
-    }
-    if (outs[l].size() < bins) {
-      throw std::invalid_argument(
-          "amplitude_spectrum_batch_into: out too small");
-    }
-  }
-  ws.resize_for(plan, lanes);
-
-  // Per lane: the identical window-multiply + zero-pad the single-block
-  // path performs, into that lane's contiguous slice.
-  const simd::Kernels& kern = simd::active_kernels();
-  for (std::size_t l = 0; l < lanes; ++l) {
-    double* lane = ws.padded.data() + l * fft_size;
-    kern.mul(signals[l].data(), window.data(), lane, signals[l].size());
-    std::fill(lane + signals[l].size(), lane + fft_size, 0.0);
-    ws.input_ptrs[l] = lane;
-    ws.bin_ptrs[l] = ws.bins.data() + l * bins;
-  }
-  plan.execute_batch(
-      std::span<const double* const>(ws.input_ptrs.data(), lanes),
-      std::span<Complex* const>(ws.bin_ptrs.data(), lanes),
-      std::span<double>(ws.re_soa.data(), plan.batch_scratch_doubles(lanes)),
-      std::span<double>(ws.im_soa.data(), plan.batch_scratch_doubles(lanes)));
-
-  const double gain = window_coherent_gain(window);
-  const double scale = gain > 0.0 ? 2.0 / gain : 0.0;
-  for (std::size_t l = 0; l < lanes; ++l) {
-    double* out = outs[l].data();
-    kern.mag_scale_aos(ws.bin_ptrs[l], scale, out, bins);
-    out[0] /= 2.0;
-    if (fft_size % 2 == 0) out[bins - 1] /= 2.0;
-  }
-}
-
 std::vector<double> amplitude_spectrum(std::span<const double> signal,
                                        std::span<const double> window) {
   if (signal.size() != window.size()) {

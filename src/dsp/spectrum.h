@@ -71,32 +71,6 @@ void amplitude_spectrum_into(std::span<const double> signal,
                              const RealFftPlan& plan, SpectrumWorkspace& ws,
                              std::span<double> out);
 
-/// Reusable buffers for the batched multi-channel spectrum path: the
-/// lane-major padded/bin arrays plus the SoA scratch the batched FFT
-/// interleaves channels into.  Grows once, then every batch call is
-/// alloc-free.
-struct BatchSpectrumWorkspace {
-  /// Grows the buffers to fit a `lanes`-channel batch of `plan`.
-  void resize_for(const RealFftPlan& plan, std::size_t lanes);
-
-  std::vector<double> padded;   ///< lanes x plan.size(), lane-contiguous
-  std::vector<Complex> bins;    ///< lanes x plan.bins(), lane-contiguous
-  std::vector<double> re_soa;   ///< interleaved SoA FFT scratch (real)
-  std::vector<double> im_soa;   ///< interleaved SoA FFT scratch (imag)
-  std::vector<const double*> input_ptrs;  ///< per-lane padded pointers
-  std::vector<Complex*> bin_ptrs;         ///< per-lane bin pointers
-};
-
-/// Batched amplitude_spectrum_into: `signals.size()` channels sharing
-/// one window and one plan, transformed by a single SoA plan execution
-/// (plan.supports_batch() required).  outs[l] receives exactly what
-/// amplitude_spectrum_into would have produced for signals[l] —
-/// bit-for-bit, at every batch width.
-void amplitude_spectrum_batch_into(
-    std::span<const std::span<const double>> signals,
-    std::span<const double> window, const RealFftPlan& plan,
-    BatchSpectrumWorkspace& ws, std::span<const std::span<double>> outs);
-
 /// Finds local maxima in a single-sided spectrum that exceed
 /// `min_amplitude` and are the largest value within +-`neighborhood` bins.
 /// Peak frequencies are refined by parabolic interpolation of log

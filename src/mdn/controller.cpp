@@ -69,8 +69,15 @@ void MdnController::start() {
         "MdnController: health engine has no estimator for sink_mic");
   }
   running_ = true;
+  // A series that has not yet fired since stop() is still scheduled and
+  // resumes on its own phase; a second one would double every tick.
+  if (series_pending_) return;
+  series_pending_ = true;
   const net::SimTime hop = net::from_seconds(config_.hop_s);
-  loop_.schedule_periodic(hop, hop, [this] { return tick(); });
+  loop_.schedule_periodic(hop, hop, [this] {
+    series_pending_ = tick();
+    return series_pending_;
+  });
 }
 
 bool MdnController::tick() {

@@ -70,9 +70,10 @@ class MdnController {
   void observe_blocks(BlockObserver observer);
 
   /// Begins periodic listening at the configured hop.  Listening stops
-  /// when stop() is called or the event loop drains.  Throws
-  /// std::logic_error when an inline controller's health engine has no
-  /// estimator for sink_mic.
+  /// when stop() is called or the event loop drains; a start() before
+  /// the stopped series fires again resumes that series on its phase.
+  /// Throws std::logic_error when an inline controller's health engine
+  /// has no estimator for sink_mic.
   void start();
   void stop() noexcept { running_ = false; }
   bool running() const noexcept { return running_; }
@@ -112,6 +113,7 @@ class MdnController {
   std::vector<ToneEvent> log_;
   audio::Waveform recording_;
   bool running_ = false;
+  bool series_pending_ = false;  // a tick series is scheduled
   std::uint64_t blocks_ = 0;
   // Registry instruments under "mdn/controller/..." plus the per-stage
   // wall timers behind §3's latency claims; spans go to the loop tracer.

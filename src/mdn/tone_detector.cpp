@@ -1,7 +1,6 @@
 #include "mdn/tone_detector.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <optional>
 #include <stdexcept>
@@ -20,9 +19,6 @@ struct DetectScratch {
   dsp::SpectrumWorkspace ws;
   std::vector<double> spectrum;
   std::vector<dsp::SpectralPeak> peaks;
-  // Batched path: the SoA workspace plus one spectrum slice per lane.
-  dsp::BatchSpectrumWorkspace batch_ws;
-  std::vector<double> batch_spectrum;
   // Fallback window for block lengths the detector was not configured
   // for (cold path; cached per thread so repeats stay allocation-free).
   std::vector<double> window;
@@ -162,102 +158,18 @@ void ToneDetector::detect_impl(std::span<const double> block,
                scratch.peaks, out, stats);
 }
 
-void ToneDetector::detect_batch_impl(
-    std::span<const std::span<const double>> blocks,
-    std::span<std::vector<DetectedTone>* const> outs,
-    std::span<obs::BlockSignalStats* const> stats) const {
-  const std::size_t count = blocks.size();
-  DetectScratch& scratch = detect_scratch();
-  const std::size_t bins = plan_->bins();
-  std::size_t i = 0;
-  while (i < count) {
-    obs::BlockSignalStats* first_stats = stats.empty() ? nullptr : stats[i];
-    const std::size_t len = blocks[i].size();
-    const std::size_t n = std::min(len, config_.fft_size);
-    // Fuse the run of following equal-length blocks, up to the batch
-    // width; anything else (odd lengths, unbatchable plan) takes the
-    // single-block path and the loop continues behind it.
-    std::size_t run = 1;
-    if (n > 0 && plan_->supports_batch()) {
-      while (run < kMaxDetectBatch && i + run < count &&
-             blocks[i + run].size() == len) {
-        ++run;
-      }
-    }
-    if (run == 1) {
-      detect_impl(blocks[i], *outs[i], first_stats);
-      ++i;
-      continue;
-    }
-
-    const std::span<const double> window =
-        window_for(n, scratch.window, scratch.window_kind);
-    if (scratch.batch_spectrum.size() < bins * kMaxDetectBatch) {
-      scratch.batch_spectrum.resize(bins * kMaxDetectBatch);
-    }
-    std::array<std::span<const double>, kMaxDetectBatch> sigs;
-    std::array<std::span<double>, kMaxDetectBatch> specs;
-    for (std::size_t l = 0; l < run; ++l) {
-      sigs[l] = blocks[i + l].first(n);
-      specs[l] = std::span<double>(scratch.batch_spectrum.data() + l * bins,
-                                   bins);
-    }
-    dsp::amplitude_spectrum_batch_into(
-        std::span<const std::span<const double>>(sigs.data(), run), window,
-        *plan_, scratch.batch_ws,
-        std::span<const std::span<double>>(specs.data(), run));
-    for (std::size_t l = 0; l < run; ++l) {
-      obs::BlockSignalStats* block_stats =
-          stats.empty() ? nullptr : stats[i + l];
-      outs[i + l]->clear();
-      if (block_stats != nullptr) *block_stats = {};
-      finish_block(sigs[l], specs[l], scratch.peaks, *outs[i + l],
-                   block_stats);
-    }
-    i += run;
-  }
-}
-
-void ToneDetector::detect_batch_into(
-    std::span<const std::span<const double>> blocks,
-    std::span<std::vector<DetectedTone>* const> outs,
-    std::span<obs::BlockSignalStats* const> stats) const {
-  if (outs.size() != blocks.size() ||
-      (!stats.empty() && stats.size() != blocks.size())) {
-    throw std::invalid_argument(
-        "ToneDetector::detect_batch_into: span size mismatch");
-  }
-  if (blocks.empty()) return;
-  // One wall-time sample per block from two clock reads per batch.
-  const auto timed = fft_.realtime_scope(blocks.size());
-  detect_batch_impl(blocks, outs, stats);
-}
-
 void ToneDetector::warm_up() const {
-  // Cold path by design: run one silent single-block and one silent
-  // batched detection so plan tables, the SIMD dispatch table and this
-  // thread's grow-once scratch all materialise here — the
-  // multi-millisecond first-execute costs never land in the steady-state
-  // histograms (nothing is recorded on this path).
+  // Cold path by design: run one silent detection so plan tables, the
+  // SIMD dispatch table and this thread's grow-once scratch all
+  // materialise here — the multi-millisecond first-execute costs never
+  // land in the steady-state histograms (nothing is recorded on this
+  // path).
   const std::size_t len =
       config_.block_size > 0 ? config_.block_size : config_.fft_size;
   std::vector<double> silence(len, 0.0);
   std::vector<DetectedTone> tones;
   obs::BlockSignalStats block_stats;
   detect_impl(silence, tones, &block_stats);
-  if (plan_->supports_batch()) {
-    std::array<std::span<const double>, kMaxDetectBatch> blocks;
-    std::array<std::vector<DetectedTone>, kMaxDetectBatch> storage;
-    std::array<std::vector<DetectedTone>*, kMaxDetectBatch> outs;
-    for (std::size_t l = 0; l < kMaxDetectBatch; ++l) {
-      blocks[l] = silence;
-      outs[l] = &storage[l];
-    }
-    detect_batch_impl(
-        std::span<const std::span<const double>>(blocks.data(), blocks.size()),
-        std::span<std::vector<DetectedTone>* const>(outs.data(), outs.size()),
-        {});
-  }
   dsp::simd::export_dispatch_metrics();
 }
 

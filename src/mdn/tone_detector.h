@@ -91,29 +91,11 @@ class ToneDetector {
                                 std::vector<DetectedTone>& out,
                                 obs::BlockSignalStats* stats = nullptr) const;
 
-  /// Channels one detect_batch_into() call fuses into a single batched
-  /// FFT; longer spans are processed in runs of this size.
-  static constexpr std::size_t kMaxDetectBatch = 4;
-
-  /// Batched detect_into(): analyses blocks[i] into *outs[i] (and
-  /// *stats[i] when `stats` is non-empty; individual pointers may be
-  /// null).  Runs of equal-length blocks share one SoA plan execution
-  /// and one window/magnitude pass; unequal lengths (or a plan that
-  /// cannot batch) fall back to the single-block path per block.
-  /// Either way every block's tones and stats are bit-identical to a
-  /// solo detect_into() on that block.  Records one "dsp/fft/wall_ns"
-  /// sample per block (the batch wall time split evenly), preserving
-  /// the one-sample-per-block histogram count.
-  MDN_REALTIME void detect_batch_into(
-      std::span<const std::span<const double>> blocks,
-      std::span<std::vector<DetectedTone>* const> outs,
-      std::span<obs::BlockSignalStats* const> stats = {}) const;
-
-  /// Runs one silent single-block and one silent batched detection
-  /// without recording timings, so plan construction, SIMD dispatch and
-  /// this thread's scratch growth (multi-millisecond first-call costs)
-  /// happen here instead of inside the first timed block.  Call once
-  /// per worker thread before entering the hot loop.
+  /// Runs one silent detection without recording timings, so plan
+  /// construction, SIMD dispatch and this thread's scratch growth
+  /// (multi-millisecond first-call costs) happen here instead of inside
+  /// the first timed block.  Call once per worker thread before entering
+  /// the hot loop.
   void warm_up() const;
 
   /// Amplitude of each watched frequency in `block` (closed set,
@@ -133,22 +115,17 @@ class ToneDetector {
   bool present(std::span<const double> block, double frequency_hz) const;
 
  private:
-  // detect_into minus the timer (shared by the batch and warm-up paths).
+  // detect_into minus the timer (shared with warm_up).
   void detect_impl(std::span<const double> block,
                    std::vector<DetectedTone>& out,
                    obs::BlockSignalStats* stats) const;
-  // The batching loop itself, untimed.
-  void detect_batch_impl(std::span<const std::span<const double>> blocks,
-                         std::span<std::vector<DetectedTone>* const> outs,
-                         std::span<obs::BlockSignalStats* const> stats) const;
   // Analysis window for an n-sample block, using the per-thread cache
   // for lengths the detector was not configured for.
   std::span<const double> window_for(std::size_t n,
                                      std::vector<double>& cache,
                                      dsp::WindowKind& cache_kind) const;
   // Peak picking + health stats over an already-computed spectrum —
-  // the post-FFT half of detect, shared verbatim by the single and
-  // batched paths so their outputs cannot drift apart.
+  // the post-FFT half of detect_impl.
   void finish_block(std::span<const double> data,
                     std::span<const double> spectrum,
                     std::vector<dsp::SpectralPeak>& peaks,

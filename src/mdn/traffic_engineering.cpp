@@ -34,8 +34,13 @@ double QueueToneReporter::frequency_for_band(std::size_t band) const {
 void QueueToneReporter::start() {
   if (running_) return;
   running_ = true;
-  switch_.loop().schedule_periodic(config_.period, config_.period,
-                                   [this] { return tick(); });
+  // A series not yet fired since stop() resumes on its own phase.
+  if (series_pending_) return;
+  series_pending_ = true;
+  switch_.loop().schedule_periodic(config_.period, config_.period, [this] {
+    series_pending_ = tick();
+    return series_pending_;
+  });
 }
 
 bool QueueToneReporter::tick() {

@@ -67,6 +67,7 @@ class QueueToneReporter {
   QueueToneConfig config_;
   std::vector<Sample> samples_;
   bool running_ = false;
+  bool series_pending_ = false;  // a tick series is scheduled
 };
 
 struct LoadBalancerConfig {

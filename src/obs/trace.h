@@ -75,14 +75,12 @@ class Tracer {
 /// One timed pipeline stage: the registry histogram its wall time feeds
 /// (null: none) and the span it records on `tracer` (null: none) under
 /// `name` on `track`; `name` must outlive the stage.  Each scope reads one
-/// clock pair and records `count` equal histogram samples of the integer
-/// average, so a batch of `count` blocks keeps one sample per block.
-/// scope() reads the tracer's clock while it is enabled, wall_now_ns()
-/// otherwise and none when there is nothing to feed, and while tracing
-/// also records one span from the same reading.  Spans allocate, so
-/// MDN_REALTIME code uses realtime_scope(): histogram only, on
-/// wall_now_ns(), so the realtime lint proves no audio path reaches the
-/// span store.
+/// clock pair and records one histogram sample.  scope() reads the
+/// tracer's clock while it is enabled, wall_now_ns() otherwise and none
+/// when there is nothing to feed, and while tracing also records one span
+/// from the same reading.  Spans allocate, so MDN_REALTIME code uses
+/// realtime_scope(): histogram only, on wall_now_ns(), so the realtime
+/// lint proves no audio path reaches the span store.
 class Stage {
  public:
   Stage() = default;
@@ -97,7 +95,7 @@ class Stage {
     ~Scope() {
       if (hist_ == nullptr && tracer_ == nullptr) return;
       const std::int64_t elapsed = now() - start_;
-      record_split(hist_, elapsed, count_);
+      if (hist_ != nullptr) hist_->record(static_cast<double>(elapsed));
       if (tracer_ != nullptr) {
         tracer_->complete(name_, track_, sim_ns_, start_, elapsed);
       }
@@ -105,14 +103,13 @@ class Stage {
 
    private:
     friend class Stage;
-    Scope(const Stage& s, std::int64_t sim_ns, std::size_t count) noexcept
+    Scope(const Stage& s, std::int64_t sim_ns) noexcept
         : hist_(s.hist_),
           tracer_(s.tracer_ != nullptr && s.tracer_->enabled() ? s.tracer_
                                                                : nullptr),
           name_(s.name_),
           track_(s.track_),
           sim_ns_(sim_ns),
-          count_(count),
           start_(hist_ != nullptr || tracer_ != nullptr ? now() : 0) {}
     std::int64_t now() const {
       return tracer_ != nullptr ? tracer_->wall_now() : wall_now_ns();
@@ -123,7 +120,6 @@ class Stage {
     std::string_view name_;
     std::uint32_t track_;
     std::int64_t sim_ns_;
-    std::size_t count_;
     std::int64_t start_;
   };
 
@@ -132,39 +128,30 @@ class Stage {
     RealtimeScope(const RealtimeScope&) = delete;
     RealtimeScope& operator=(const RealtimeScope&) = delete;
     ~RealtimeScope() {
-      if (hist_ != nullptr) record_split(hist_, wall_now_ns() - start_, count_);
+      if (hist_ != nullptr) {
+        hist_->record(static_cast<double>(wall_now_ns() - start_));
+      }
     }
 
    private:
     friend class Stage;
-    RealtimeScope(Histogram* hist, std::size_t count) noexcept
-        : hist_(hist), count_(count), start_(hist ? wall_now_ns() : 0) {}
+    explicit RealtimeScope(Histogram* hist) noexcept
+        : hist_(hist), start_(hist ? wall_now_ns() : 0) {}
 
     Histogram* hist_;
-    std::size_t count_;
     std::int64_t start_;
   };
 
-  [[nodiscard]] Scope scope(std::int64_t sim_ns = 0,
-                            std::size_t count = 1) const noexcept {
-    return Scope(*this, sim_ns, count);
+  [[nodiscard]] Scope scope(std::int64_t sim_ns = 0) const noexcept {
+    return Scope(*this, sim_ns);
   }
-  [[nodiscard]] RealtimeScope realtime_scope(
-      std::size_t count = 1) const noexcept {
-    return RealtimeScope(hist_, count);
+  [[nodiscard]] RealtimeScope realtime_scope() const noexcept {
+    return RealtimeScope(hist_);
   }
 
   std::uint32_t track() const noexcept { return track_; }
 
  private:
-  static void record_split(Histogram* hist, std::int64_t elapsed,
-                           std::size_t count) noexcept {
-    if (hist == nullptr || count == 0) return;
-    const auto each =
-        static_cast<double>(elapsed / static_cast<std::int64_t>(count));
-    for (std::size_t i = 0; i < count; ++i) hist->record(each);
-  }
-
   Histogram* hist_ = nullptr;
   Tracer* tracer_ = nullptr;
   std::string_view name_;

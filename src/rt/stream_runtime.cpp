@@ -91,11 +91,10 @@ void StreamRuntime::start() {
         "StreamRuntime: health engine has fewer mics than the runtime");
   }
   started_ = true;
-  // Enough recycled buffers for every ring slot plus blocks in flight.
-  const std::size_t pool_size =
-      queues_.size() * config_.ring_capacity +
-      config_.workers * core::ToneDetector::kMaxDetectBatch +
-      queues_.size() + 1;
+  // Enough recycled buffers for every ring slot plus one block in flight
+  // per worker.
+  const std::size_t pool_size = queues_.size() * config_.ring_capacity +
+                                config_.workers + queues_.size() + 1;
   free_buffers_ = std::make_unique<RingBuffer<std::vector<double>>>(pool_size);
   pool_ = std::make_unique<WorkerPool>(detector_, config_.watch_hz, queues_,
                                        merge_, *free_buffers_,

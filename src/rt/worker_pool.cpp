@@ -63,7 +63,8 @@ void WorkerPool::run_worker(std::size_t index) {
   // mo: release publishes this worker's warm-up state to start()'s acquire loop
   warmed_.fetch_add(1, std::memory_order_release);
 
-  BatchScratch scratch;
+  AudioBlock block;
+  std::vector<core::DetectedTone> tones;
   std::vector<char> closed(queues_.size(), 0);
   for (;;) {
     // Read the flag once per sweep, before any pop: every block pushed
@@ -77,18 +78,9 @@ void WorkerPool::run_worker(std::size_t index) {
     for (std::size_t mic = index; mic < queues_.size(); mic += workers_) {
       if (closed[mic]) continue;
       MicQueue& q = *queues_[mic];
-      // Drain up to kMaxDetectBatch ready blocks of this mic — popped in
-      // seq order, fused into one batched detection.
-      std::size_t got = 0;
-      while (got < core::ToneDetector::kMaxDetectBatch &&
-             q.ring.try_pop(scratch.blocks[got])) {
-        ++got;
-      }
-      if (got > 0) {
-        if (q.depth != nullptr) {
-          q.depth->add(-static_cast<std::int64_t>(got));
-        }
-        process_batch(scratch, got, active_[mic], wall);
+      if (q.ring.try_pop(block)) {
+        if (q.depth != nullptr) q.depth->add(-1);
+        process_block(block, tones, active_[mic], wall);
         did_work = true;
         all_closed = false;
       } else if (producers_done) {
@@ -105,81 +97,56 @@ void WorkerPool::run_worker(std::size_t index) {
   }
 }
 
-void WorkerPool::process_batch(BatchScratch& scratch, std::size_t count,
+void WorkerPool::process_block(AudioBlock& block,
+                               std::vector<core::DetectedTone>& tones,
                                std::vector<char>& active,
                                const obs::Stage& wall) {
-  const auto timed = wall.realtime_scope(count);
-  // One batched detection for the whole run (blocks are consecutive
-  // seqs of one mic), then the per-block pipeline in pop order through
-  // the same core::WatchMatcher as the serial controller path, so the
-  // merged stream stays bit-equal to it at any batch width.
-  std::array<std::span<const double>, core::ToneDetector::kMaxDetectBatch>
-      samples;
-  std::array<std::vector<core::DetectedTone>*,
-             core::ToneDetector::kMaxDetectBatch>
-      tone_ptrs;
-  std::array<obs::BlockSignalStats, core::ToneDetector::kMaxDetectBatch>
-      stats;
-  std::array<obs::BlockSignalStats*, core::ToneDetector::kMaxDetectBatch>
-      stats_ptrs;
-  for (std::size_t b = 0; b < count; ++b) {
-    samples[b] = scratch.blocks[b].samples;
-    tone_ptrs[b] = &scratch.tones[b];
-    stats_ptrs[b] = health_ != nullptr ? &stats[b] : nullptr;
-  }
-  detector_.detect_batch_into(
-      std::span<const std::span<const double>>(samples.data(), count),
-      std::span<std::vector<core::DetectedTone>* const>(tone_ptrs.data(),
-                                                        count),
-      health_ != nullptr
-          ? std::span<obs::BlockSignalStats* const>(stats_ptrs.data(), count)
-          : std::span<obs::BlockSignalStats* const>{});
+  const auto timed = wall.realtime_scope();
+  obs::BlockSignalStats stats;
+  detector_.detect_into(block.samples, tones,
+                        health_ != nullptr ? &stats : nullptr);
 
-  const double rate = detector_.config().sample_rate;
-  std::uint64_t batch_events = 0;
-  for (std::size_t b = 0; b < count; ++b) {
-    AudioBlock& block = scratch.blocks[b];
-    obs::MicSignalEstimator* est = nullptr;
-    if (health_ != nullptr) {
-      // Health estimator updates ride the block in per-mic seq order —
-      // the mic's single owning worker is the single writer, so the
-      // estimator trajectory (and any alert it queues) is deterministic
-      // regardless of worker count or batch width.
-      est = &health_->estimator(block.mic);
-      est->begin_block(
-          block.start_s + static_cast<double>(block.samples.size()) / rate,
-          stats[b]);
-    }
-    // The cause is the ground-truth emission whose frequency the watch
-    // matched, if one rode in with the block: pure per-block arithmetic,
-    // identical regardless of worker count.
-    matcher_.match(
-        scratch.tones[b],
-        std::span<const audio::EmissionTag>(block.tags.data(),
-                                            block.tag_count),
-        active, est,
-        [&](std::size_t w, double hz, double amplitude,
-            obs::CauseId cause) {
-          merge_.push({block.seq, block.mic, static_cast<std::uint32_t>(w),
-                       block.start_s, hz, amplitude, cause, block.ingest});
-          ++batch_events;
-          return cause;
-        });
-    if (est != nullptr) est->end_block();
-    // Events of a block are pushed before the watermark moves past it —
-    // the merge relies on this ordering.
-    merge_.advance(block.mic, block.seq + 1);
-    // Recycle the sample buffer; if the free ring is full the buffer is
-    // simply deallocated (cold path).
-    block.samples.clear();
-    (void)free_buffers_.try_push(std::move(block.samples));
+  obs::MicSignalEstimator* est = nullptr;
+  if (health_ != nullptr) {
+    // Health estimator updates ride the block in per-mic seq order —
+    // the mic's single owning worker is the single writer, so the
+    // estimator trajectory (and any alert it queues) is deterministic
+    // regardless of worker count.
+    est = &health_->estimator(block.mic);
+    est->begin_block(block.start_s +
+                         static_cast<double>(block.samples.size()) /
+                             detector_.config().sample_rate,
+                     stats);
   }
+  // The same core::WatchMatcher as the serial controller path, so the
+  // merged stream stays bit-equal to it.  The cause is the ground-truth
+  // emission whose frequency the watch matched, if one rode in with the
+  // block: pure per-block arithmetic, identical regardless of worker
+  // count.
+  std::uint64_t events = 0;
+  matcher_.match(
+      tones,
+      std::span<const audio::EmissionTag>(block.tags.data(), block.tag_count),
+      active, est,
+      [&](std::size_t w, double hz, double amplitude, obs::CauseId cause) {
+        merge_.push({block.seq, block.mic, static_cast<std::uint32_t>(w),
+                     block.start_s, hz, amplitude, cause, block.ingest});
+        ++events;
+        return cause;
+      });
+  if (est != nullptr) est->end_block();
+  // Events of a block are pushed before the watermark moves past it —
+  // the merge relies on this ordering.
+  merge_.advance(block.mic, block.seq + 1);
+  // Recycle the sample buffer; if the free ring is full the buffer is
+  // simply deallocated (cold path).
+  block.samples.clear();
+  (void)free_buffers_.try_push(std::move(block.samples));
 
-  // Amortised telemetry: one atomic flush per batch.
   // mo: monitoring counter, no ordering needed with other state
-  processed_.fetch_add(count, std::memory_order_relaxed);
-  processed_counter_->add(count);
-  if (batch_events > 0) events_counter_->add(batch_events);
+  processed_.fetch_add(1, std::memory_order_relaxed);
+  processed_counter_->add(1);
+  if (events > 0) events_counter_->add(events);
 }
 
 }  // namespace mdn::rt

@@ -68,10 +68,7 @@ class WorkerPool {
   /// receives per-block estimator updates for every microphone
   /// (health->estimator(mic) must exist for every queue); each mic's
   /// estimator is touched only by the worker owning that mic, preserving
-  /// the single-writer contract.  A worker drains up to
-  /// core::ToneDetector::kMaxDetectBatch ready blocks of one mic into a
-  /// single batched detection; a lone ready block takes the single-block
-  /// path.
+  /// the single-writer contract.
   WorkerPool(const core::ToneDetector& detector,
              std::vector<double> watch_hz,
              std::vector<std::unique_ptr<MicQueue>>& queues,
@@ -104,25 +101,13 @@ class WorkerPool {
   }
 
  private:
-  /// Per-worker batch scratch: block slots and one tone vector per slot
-  /// (grow-once; lives on the worker's stack frame for its lifetime).
-  struct BatchScratch {
-    std::array<AudioBlock, core::ToneDetector::kMaxDetectBatch> blocks;
-    std::array<std::vector<core::DetectedTone>,
-               core::ToneDetector::kMaxDetectBatch>
-        tones;
-  };
-
   void run_worker(std::size_t index);
-  /// The worker-side hot path: one batched detection over `count`
-  /// consecutive blocks of a single mic, then match + merge-push per
-  /// block in pop (seq) order — per-block results and merge interleaving
-  /// are bit-identical to processing the blocks one at a time.  Counter
-  /// and gauge traffic is flushed once per batch, and the worker's
-  /// `wall` stage records `count` samples of the batch average, so
-  /// downstream consumers keep their one-sample-per-block semantics.
-  /// Steady-state allocation-free (audited in tests/rt).
-  MDN_REALTIME void process_batch(BatchScratch& scratch, std::size_t count,
+  /// The worker-side hot path for one block: detect into `tones` (the
+  /// worker's grow-once vector), match, merge-push, advance the mic's
+  /// watermark and recycle the sample buffer, timed by the worker's
+  /// `wall` stage.  Steady-state allocation-free (audited in tests/rt).
+  MDN_REALTIME void process_block(AudioBlock& block,
+                                  std::vector<core::DetectedTone>& tones,
                                   std::vector<char>& active,
                                   const obs::Stage& wall);
 

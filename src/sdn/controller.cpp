@@ -198,8 +198,13 @@ PollingQueueMonitor::PollingQueueMonitor(ControlChannel& channel,
 void PollingQueueMonitor::start() {
   if (running_) return;
   running_ = true;
-  channel_.loop().schedule_periodic(period_, period_,
-                                    [this] { return tick(); });
+  // A series not yet fired since stop() resumes on its own phase.
+  if (series_pending_) return;
+  series_pending_ = true;
+  channel_.loop().schedule_periodic(period_, period_, [this] {
+    series_pending_ = tick();
+    return series_pending_;
+  });
 }
 
 bool PollingQueueMonitor::tick() {

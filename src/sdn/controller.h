@@ -117,6 +117,7 @@ class PollingQueueMonitor {
   std::size_t threshold_;
   net::SimTime period_;
   bool running_ = false;
+  bool series_pending_ = false;  // a tick series is scheduled
   bool congestion_seen_ = false;
   double seen_at_s_ = -1.0;
   std::uint64_t polls_ = 0;

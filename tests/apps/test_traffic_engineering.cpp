@@ -71,6 +71,22 @@ TEST_F(QueueBandTest, ReporterSamplesEvery300ms) {
   EXPECT_EQ(bridge_->played(), 10u);
 }
 
+TEST_F(QueueBandTest, RestartAfterStopKeepsOneTickSeries) {
+  // stop() then start() inside one period keeps the one pending series.
+  init_mdn(0);
+  const auto dev = plan_.add_device("s1", 3);
+  QueueToneConfig cfg;
+  cfg.port_index = out_port_;
+  QueueToneReporter reporter(*sw_, *emitter_, plan_, dev, cfg);
+  reporter.start();
+  net_.loop().run_until(net::from_seconds(0.7));
+  reporter.stop();
+  reporter.start();
+  net_.loop().run_until(net::from_seconds(3.05));
+  reporter.stop();
+  EXPECT_EQ(reporter.samples().size(), 10u);  // 0.3 .. 3.0
+}
+
 // ------------------------------------------------------------------
 // Full load-balancing scenario on the rhombus (§6, Fig 5a-b).
 class LoadBalancerTest : public ::testing::Test {

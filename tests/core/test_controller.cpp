@@ -135,6 +135,19 @@ TEST_F(ControllerFixture, BlocksProcessedCounts) {
   EXPECT_NEAR(static_cast<double>(ctl.blocks_processed()), 10.0, 2.0);
 }
 
+TEST_F(ControllerFixture, RestartAfterStopKeepsOneTickSeries) {
+  // stop() then start() inside one hop: the series scheduled by the first
+  // start() has not fired since, so it resumes and no second series
+  // doubles the blocks.
+  MdnController ctl(loop, channel, config());
+  ctl.start();
+  loop.run_until(net::from_seconds(0.12));
+  ctl.stop();
+  ctl.start();
+  loop.run_until(net::from_seconds(1.0));
+  EXPECT_EQ(ctl.blocks_processed(), 20u);  // one per 50 ms hop
+}
+
 TEST_F(ControllerFixture, EventLogAccumulates) {
   MdnController ctl(loop, channel, config());
   ctl.watch(700.0, nullptr);

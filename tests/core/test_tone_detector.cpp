@@ -343,110 +343,7 @@ TEST(ToneDetectorStats, NullStatsStillDetects) {
   EXPECT_TRUE(has_tone_near(out, 700.0));
 }
 
-// --- Batched detection -------------------------------------------------
-
-TEST(ToneDetectorBatch, MatchesSingleBlockDetectBitwise) {
-  // Every block in a batch must yield exactly the tones and stats a solo
-  // detect_into() yields — including stats the batch path must clear,
-  // not accumulate.  Batch sizes sweep through partial and full fusions.
-  ToneDetector det;
-  std::vector<audio::Waveform> waves;
-  waves.push_back(tone(700.0, 0.1, 0.05));
-  waves.push_back(tone(820.0, 0.2, 0.05));
-  waves.push_back(audio::make_silence(0.05, kSampleRate));
-  waves.push_back(tone(1240.0, 0.05, 0.05));
-  waves.push_back(tone(940.0, 0.15, 0.05));
-  waves.push_back(tone(700.0, 0.02, 0.05));
-
-  for (std::size_t count = 1; count <= waves.size(); ++count) {
-    std::vector<std::span<const double>> blocks(count);
-    std::vector<std::vector<DetectedTone>> outs(count);
-    std::vector<std::vector<DetectedTone>*> out_ptrs(count);
-    std::vector<obs::BlockSignalStats> stats(count);
-    std::vector<obs::BlockSignalStats*> stats_ptrs(count);
-    for (std::size_t b = 0; b < count; ++b) {
-      blocks[b] = waves[b].samples();
-      out_ptrs[b] = &outs[b];
-      stats[b].rms = 99.0;  // must be overwritten
-      stats_ptrs[b] = &stats[b];
-    }
-    det.detect_batch_into(blocks, out_ptrs, stats_ptrs);
-
-    std::vector<DetectedTone> solo;
-    obs::BlockSignalStats solo_stats;
-    for (std::size_t b = 0; b < count; ++b) {
-      det.detect_into(blocks[b], solo, &solo_stats);
-      ASSERT_EQ(outs[b].size(), solo.size())
-          << "count=" << count << " block " << b;
-      for (std::size_t t = 0; t < solo.size(); ++t) {
-        EXPECT_EQ(outs[b][t].frequency_hz, solo[t].frequency_hz)
-            << "count=" << count << " block " << b << " tone " << t;
-        EXPECT_EQ(outs[b][t].amplitude, solo[t].amplitude)
-            << "count=" << count << " block " << b << " tone " << t;
-      }
-      EXPECT_EQ(stats[b].rms, solo_stats.rms) << "block " << b;
-      EXPECT_EQ(stats[b].peak_amplitude, solo_stats.peak_amplitude)
-          << "block " << b;
-      EXPECT_EQ(stats[b].noise_floor, solo_stats.noise_floor)
-          << "block " << b;
-    }
-  }
-}
-
-TEST(ToneDetectorBatch, MixedLengthBlocksFallBackPerBlock) {
-  // Unequal lengths cannot share one plan execution; the batch path must
-  // split the run and still match solo detection bitwise.
-  ToneDetector det;
-  const auto long_block = tone(820.0, 0.2, 0.05);
-  const auto short_block = tone(700.0, 0.1, 0.025);
-  const std::span<const double> blocks[] = {
-      long_block.samples(), short_block.samples(), long_block.samples()};
-  std::vector<DetectedTone> outs[3];
-  std::vector<DetectedTone>* out_ptrs[] = {&outs[0], &outs[1], &outs[2]};
-  det.detect_batch_into(blocks, out_ptrs);
-
-  std::vector<DetectedTone> solo;
-  for (std::size_t b = 0; b < 3; ++b) {
-    det.detect_into(blocks[b], solo);
-    ASSERT_EQ(outs[b].size(), solo.size()) << "block " << b;
-    for (std::size_t t = 0; t < solo.size(); ++t) {
-      EXPECT_EQ(outs[b][t].frequency_hz, solo[t].frequency_hz);
-      EXPECT_EQ(outs[b][t].amplitude, solo[t].amplitude);
-    }
-  }
-}
-
-TEST(ToneDetectorBatch, RecordsOneWallSamplePerBlock) {
-  // Fig 2b's CDF counts blocks: a fused batch of three blocks adds
-  // exactly three samples to "dsp/fft/wall_ns".
-  ToneDetector det;
-  const auto block = tone(820.0, 0.2, 0.05);
-  const std::span<const double> blocks[] = {block.samples(), block.samples(),
-                                            block.samples()};
-  std::vector<DetectedTone> outs[3];
-  std::vector<DetectedTone>* out_ptrs[] = {&outs[0], &outs[1], &outs[2]};
-  const obs::Histogram& wall =
-      obs::Registry::global().histogram("dsp/fft/wall_ns");
-  const std::uint64_t before = wall.count();
-  det.detect_batch_into(blocks, out_ptrs);
-  EXPECT_EQ(wall.count() - before, 3u);
-}
-
-TEST(ToneDetectorBatch, ThrowsOnSpanSizeMismatch) {
-  ToneDetector det;
-  const auto block = tone(700.0, 0.1, 0.05);
-  const std::span<const double> blocks[] = {block.samples(),
-                                            block.samples()};
-  std::vector<DetectedTone> out;
-  std::vector<DetectedTone>* out_ptrs[] = {&out};
-  EXPECT_THROW(
-      det.detect_batch_into(blocks,
-                            std::span<std::vector<DetectedTone>* const>(
-                                out_ptrs, 1)),
-      std::invalid_argument);
-}
-
-TEST(ToneDetectorBatch, WarmUpDetectsNothingAndKeepsLaterCallsIdentical) {
+TEST(ToneDetector, WarmUpDetectsNothingAndKeepsLaterCallsIdentical) {
   // warm_up() must not perturb subsequent detection results.
   ToneDetector cold;
   ToneDetector warmed;

@@ -142,93 +142,6 @@ TEST(RealFftPlan, ThrowsOnBadBuffers) {
   EXPECT_THROW(plan.execute(in, bins, short_scratch), std::invalid_argument);
 }
 
-TEST(FftPlan, BatchSoaMatchesSoloExecuteBitwise) {
-  // Lanes are independent channels: each lane of execute_batch_soa must
-  // produce exactly the bits execute() produces for that lane's signal,
-  // at any lane count (including lane counts that are not multiples of
-  // the vector width).
-  for (std::size_t n : {8u, 64u, 512u}) {
-    const FftPlan plan(n);
-    ASSERT_TRUE(plan.supports_batch());
-    for (std::size_t lanes : {1u, 2u, 3u, 4u, 5u, 7u}) {
-      std::vector<std::vector<Complex>> solo(lanes);
-      std::vector<double> re(n * lanes), im(n * lanes);
-      for (std::size_t l = 0; l < lanes; ++l) {
-        const auto in = random_signal(n, 3000 + n + l);
-        solo[l] = plan.transform(in);
-        for (std::size_t i = 0; i < n; ++i) {
-          re[i * lanes + l] = in[i].real();
-          im[i * lanes + l] = in[i].imag();
-        }
-      }
-      plan.execute_batch_soa(re, im, lanes);
-      for (std::size_t l = 0; l < lanes; ++l) {
-        for (std::size_t i = 0; i < n; ++i) {
-          EXPECT_EQ(re[i * lanes + l], solo[l][i].real())
-              << "n=" << n << " lanes=" << lanes << " lane " << l << " bin "
-              << i;
-          EXPECT_EQ(im[i * lanes + l], solo[l][i].imag())
-              << "n=" << n << " lanes=" << lanes << " lane " << l << " bin "
-              << i;
-        }
-      }
-    }
-  }
-}
-
-TEST(FftPlan, BatchSoaRejectsNonPow2) {
-  const FftPlan bluestein(12);
-  EXPECT_FALSE(bluestein.supports_batch());
-  std::vector<double> re(12), im(12);
-  EXPECT_THROW(bluestein.execute_batch_soa(re, im, 1), std::invalid_argument);
-}
-
-TEST(RealFftPlan, ExecuteBatchMatchesSoloExecuteBitwise) {
-  for (std::size_t n : {8u, 256u, 2048u, 4096u}) {
-    const RealFftPlan plan(n);
-    ASSERT_TRUE(plan.supports_batch());
-    for (std::size_t lanes : {1u, 2u, 3u, 4u}) {
-      std::vector<std::vector<double>> inputs(lanes);
-      std::vector<const double*> input_ptrs(lanes);
-      std::vector<std::vector<Complex>> bins(lanes);
-      std::vector<Complex*> bin_ptrs(lanes);
-      for (std::size_t l = 0; l < lanes; ++l) {
-        inputs[l] = random_real(n, 4000 + n + l);
-        input_ptrs[l] = inputs[l].data();
-        bins[l].resize(plan.bins());
-        bin_ptrs[l] = bins[l].data();
-      }
-      std::vector<double> re(plan.batch_scratch_doubles(lanes));
-      std::vector<double> im(plan.batch_scratch_doubles(lanes));
-      plan.execute_batch(input_ptrs, bin_ptrs, re, im);
-      for (std::size_t l = 0; l < lanes; ++l) {
-        const auto solo = plan.spectrum(inputs[l]);
-        ASSERT_EQ(bins[l].size(), solo.size());
-        for (std::size_t k = 0; k < solo.size(); ++k) {
-          EXPECT_EQ(bins[l][k].real(), solo[k].real())
-              << "n=" << n << " lanes=" << lanes << " lane " << l << " bin "
-              << k;
-          EXPECT_EQ(bins[l][k].imag(), solo[k].imag())
-              << "n=" << n << " lanes=" << lanes << " lane " << l << " bin "
-              << k;
-        }
-      }
-    }
-  }
-}
-
-TEST(RealFftPlan, ExecuteBatchThrowsOnShortScratch) {
-  const RealFftPlan plan(64);
-  const auto in = random_real(64, 5);
-  const double* inputs[] = {in.data()};
-  std::vector<Complex> bins(plan.bins());
-  Complex* outs[] = {bins.data()};
-  std::vector<double> re(plan.batch_scratch_doubles(1));
-  std::vector<double> im(plan.batch_scratch_doubles(1) - 1);
-  EXPECT_THROW(
-      plan.execute_batch(inputs, outs, re, im), std::invalid_argument);
-}
-
 TEST(PlanCache, ReturnsTheSamePlanForTheSameKey) {
   auto& cache = PlanCache::global();
   const auto a = cache.real_plan(4096);

@@ -111,12 +111,6 @@ TEST(SimdKernels, MagScaleMatchesScalarBitwise) {
       ref.mag_scale_aos(bins.data(), scale, want.data(), n);
       k.mag_scale_aos(bins.data(), scale, got.data(), n);
       expect_bits_eq(got, want, "mag_scale_aos", isa);
-
-      const auto re = random_doubles(n, 400 + n);
-      const auto im = random_doubles(n, 500 + n);
-      ref.mag_scale_soa(re.data(), im.data(), scale, want.data(), n);
-      k.mag_scale_soa(re.data(), im.data(), scale, got.data(), n);
-      expect_bits_eq(got, want, "mag_scale_soa", isa);
     }
   }
 }
@@ -153,69 +147,6 @@ TEST(SimdKernels, ButterflyAosMatchesScalarBitwise) {
       k.butterfly_aos(ga.data(), gb.data(), tw.data(), half);
       expect_bits_eq(ga, wa, "butterfly_aos a", isa);
       expect_bits_eq(gb, wb, "butterfly_aos b", isa);
-    }
-  }
-}
-
-TEST(SimdKernels, ButterflySoaMatchesScalarBitwise) {
-  const Kernels& ref = kernels_for(Isa::kScalar);
-  for (Isa isa : available_isas()) {
-    const Kernels& k = kernels_for(isa);
-    for (std::size_t half : {std::size_t{1}, std::size_t{3}, std::size_t{8},
-                             std::size_t{16}}) {
-      for (std::size_t lanes : {std::size_t{1}, std::size_t{2},
-                                std::size_t{3}, std::size_t{4},
-                                std::size_t{5}, std::size_t{7}}) {
-        const std::size_t n = half * lanes;
-        const auto tw = random_complex(half, 1100 + n);
-        const auto are0 = random_doubles(n, 1200 + n);
-        const auto aim0 = random_doubles(n, 1300 + n);
-        const auto bre0 = random_doubles(n, 1400 + n);
-        const auto bim0 = random_doubles(n, 1500 + n);
-        auto w_are = are0, w_aim = aim0, w_bre = bre0, w_bim = bim0;
-        ref.butterfly_soa(w_are.data(), w_aim.data(), w_bre.data(),
-                          w_bim.data(), tw.data(), half, lanes);
-        auto g_are = are0, g_aim = aim0, g_bre = bre0, g_bim = bim0;
-        k.butterfly_soa(g_are.data(), g_aim.data(), g_bre.data(),
-                        g_bim.data(), tw.data(), half, lanes);
-        expect_bits_eq(g_are, w_are, "butterfly_soa a_re", isa);
-        expect_bits_eq(g_aim, w_aim, "butterfly_soa a_im", isa);
-        expect_bits_eq(g_bre, w_bre, "butterfly_soa b_re", isa);
-        expect_bits_eq(g_bim, w_bim, "butterfly_soa b_im", isa);
-      }
-    }
-  }
-}
-
-TEST(SimdKernels, ButterflySoaSingleLaneMatchesAos) {
-  // With one lane, SoA rows coincide with the AoS slice — both layouts
-  // must produce the same bits (this ties the batched FFT to the solo
-  // FFT arithmetic).
-  for (Isa isa : available_isas()) {
-    const Kernels& k = kernels_for(isa);
-    for (std::size_t half : {std::size_t{4}, std::size_t{9},
-                             std::size_t{16}}) {
-      const auto tw = random_complex(half, 1600 + half);
-      const auto a0 = random_complex(half, 1700 + half);
-      const auto b0 = random_complex(half, 1800 + half);
-      auto aos_a = a0, aos_b = b0;
-      k.butterfly_aos(aos_a.data(), aos_b.data(), tw.data(), half);
-
-      std::vector<double> are(half), aim(half), bre(half), bim(half);
-      for (std::size_t i = 0; i < half; ++i) {
-        are[i] = a0[i].real();
-        aim[i] = a0[i].imag();
-        bre[i] = b0[i].real();
-        bim[i] = b0[i].imag();
-      }
-      k.butterfly_soa(are.data(), aim.data(), bre.data(), bim.data(),
-                      tw.data(), half, 1);
-      for (std::size_t i = 0; i < half; ++i) {
-        EXPECT_EQ(are[i], aos_a[i].real()) << i << " " << isa_name(isa);
-        EXPECT_EQ(aim[i], aos_a[i].imag()) << i << " " << isa_name(isa);
-        EXPECT_EQ(bre[i], aos_b[i].real()) << i << " " << isa_name(isa);
-        EXPECT_EQ(bim[i], aos_b[i].imag()) << i << " " << isa_name(isa);
-      }
     }
   }
 }

@@ -6,7 +6,6 @@
 #include <numbers>
 
 #include "dsp/fft.h"
-#include "dsp/fft_plan.h"
 #include "dsp/simd.h"
 #include "dsp/window.h"
 
@@ -172,78 +171,6 @@ TEST(Spectrum, SpectralDifferenceSizeMismatchThrows) {
   const std::vector<double> a(4, 0.0);
   const std::vector<double> b(5, 0.0);
   EXPECT_THROW(spectral_difference(a, b), std::invalid_argument);
-}
-
-TEST(Spectrum, BatchMatchesSingleBitwise) {
-  // Every lane of the batched helper must equal a solo
-  // amplitude_spectrum_into() on that lane's signal, bit for bit —
-  // including the zero-padded short-block case the detector uses.
-  const double sr = 48000.0;
-  const std::size_t fft_size = 1024;
-  const auto plan_ptr = PlanCache::global().real_plan(fft_size);
-  const RealFftPlan& plan = *plan_ptr;
-  ASSERT_TRUE(plan.supports_batch());
-  for (std::size_t block_len : {fft_size, std::size_t{600}}) {
-    const auto w = make_window(WindowKind::kBlackman, block_len);
-    for (std::size_t lanes : {1u, 2u, 3u, 4u}) {
-      std::vector<std::vector<double>> signals(lanes);
-      std::vector<std::span<const double>> sig_spans(lanes);
-      std::vector<std::vector<double>> batch_out(lanes);
-      std::vector<std::span<double>> out_spans(lanes);
-      for (std::size_t l = 0; l < lanes; ++l) {
-        signals[l] = sine(500.0 + 40.0 * static_cast<double>(l), 0.5, sr,
-                          block_len, 0.1 * static_cast<double>(l));
-        sig_spans[l] = signals[l];
-        batch_out[l].resize(plan.bins());
-        out_spans[l] = batch_out[l];
-      }
-      BatchSpectrumWorkspace bws;
-      amplitude_spectrum_batch_into(sig_spans, w, plan, bws, out_spans);
-
-      SpectrumWorkspace ws(plan);
-      std::vector<double> solo(plan.bins());
-      for (std::size_t l = 0; l < lanes; ++l) {
-        amplitude_spectrum_into(signals[l], w, plan, ws, solo);
-        for (std::size_t k = 0; k < solo.size(); ++k) {
-          EXPECT_EQ(batch_out[l][k], solo[k])
-              << "block_len=" << block_len << " lanes=" << lanes << " lane "
-              << l << " bin " << k;
-        }
-      }
-    }
-  }
-}
-
-TEST(Spectrum, BatchValidatesArguments) {
-  const auto plan_ptr = PlanCache::global().real_plan(256);
-  const RealFftPlan& plan = *plan_ptr;
-  const auto w = make_window(WindowKind::kHann, 256);
-  std::vector<double> sig(256, 0.0);
-  std::vector<double> out(plan.bins());
-  const std::span<const double> sigs[] = {sig};
-  const std::span<double> outs[] = {out};
-  BatchSpectrumWorkspace ws;
-
-  // signals/outs length mismatch.
-  const std::span<double> two_outs[] = {out, out};
-  EXPECT_THROW(amplitude_spectrum_batch_into(
-                   sigs, w, plan, ws,
-                   std::span<const std::span<double>>(two_outs, 2)),
-               std::invalid_argument);
-  // Window length mismatch.
-  const auto short_w = make_window(WindowKind::kHann, 100);
-  EXPECT_THROW(amplitude_spectrum_batch_into(sigs, short_w, plan, ws, outs),
-               std::invalid_argument);
-  // Non-batchable plan.
-  const RealFftPlan odd(300);
-  const auto w300 = make_window(WindowKind::kHann, 300);
-  std::vector<double> sig300(300, 0.0);
-  std::vector<double> out300(odd.bins());
-  const std::span<const double> sigs300[] = {sig300};
-  const std::span<double> outs300[] = {out300};
-  EXPECT_THROW(
-      amplitude_spectrum_batch_into(sigs300, w300, odd, ws, outs300),
-      std::invalid_argument);
 }
 
 TEST(Spectrum, AmplitudeSpectrumDispatchMatchesForcedScalar) {

@@ -108,35 +108,18 @@ TEST(StageTest, NullHistogramLeavesOnlyTheSpan) {
   EXPECT_EQ(t.events()[0].wall_dur_ns, 1000);
 }
 
-TEST(StageTest, BatchCountRecordsEqualSamplesOfTheIntegerAverage) {
-  Tracer t;
-  t.enable();
-  t.set_wall_clock(&stepping_clock);
-  Histogram hist;
-  const Stage stage(&hist, &t, "batch", t.track("x"));
-  g_clock_reads = 0;
-  { const auto timed = stage.scope(0, 3); }
-  const auto snap = hist.snapshot();
-  ASSERT_EQ(snap.count, 3u);
-  EXPECT_EQ(snap.min, 333.0);  // 1000 ns over 3 blocks, integer average
-  EXPECT_EQ(snap.max, 333.0);
-  EXPECT_EQ(snap.sum, 999.0);
-  ASSERT_EQ(t.events().size(), 1u);  // one span for the whole batch
-  EXPECT_EQ(t.events()[0].wall_dur_ns, 1000);
-}
-
 TEST(StageTest, RealtimeScopeFeedsOnlyTheHistogram) {
   Tracer t;
   t.enable();
   t.set_wall_clock(&stepping_clock);
   Histogram hist;
-  const Stage stage(&hist, &t, "batch", t.track("x"));
+  const Stage stage(&hist, &t, "work", t.track("x"));
   g_clock_reads = 0;
-  { const auto timed = stage.realtime_scope(3); }
+  { const auto timed = stage.realtime_scope(); }
   { const auto timed = Stage().realtime_scope(); }  // nothing to feed
   EXPECT_EQ(g_clock_reads, 0);      // never the tracer's clock
   EXPECT_TRUE(t.events().empty());  // and never a span
-  EXPECT_EQ(hist.count(), 3u);
+  EXPECT_EQ(hist.count(), 1u);      // one sample per scope
 }
 
 // Golden test: the exact Chrome trace_event JSON for a fixed event

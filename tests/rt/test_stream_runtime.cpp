@@ -131,14 +131,13 @@ TEST(StreamRuntime, RepeatedRunsAreBitIdentical) {
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_TRUE(a[i] == b[i]);
 }
 
-TEST(StreamRuntime, FullBatchesMatchSerialAtEveryWorkerCount) {
-  // Every block is queued before start(), so each worker visit drains a
-  // full kMaxDetectBatch run of one mic into one batched detection (16
-  // hops per mic: four full runs).  The merged stream must still equal
-  // the serial reference exactly, at several worker counts.
+TEST(StreamRuntime, BacklogMatchesSerialAtEveryWorkerCount) {
+  // Every block is queued before start(), so each worker finds a full
+  // backlog on every mic it owns from its first visit.  The merged
+  // stream must still equal the serial reference exactly, at several
+  // worker counts.
   const std::size_t mics = 4;
   const std::uint64_t hops = 16;
-  static_assert(hops % core::ToneDetector::kMaxDetectBatch == 0);
   const auto reference = serial_reference(base_config(1), mics, hops);
   ASSERT_FALSE(reference.empty());
   for (std::size_t workers : {1u, 2u, 4u, 7u}) {
@@ -257,12 +256,15 @@ TEST(StreamRuntime, SubmitToUnknownMicThrows) {
 }
 
 TEST(StreamRuntime, WorkerWallHistogramCountsEveryBlock) {
-  // Blocks queued before start() reach the worker in batches (4 + 4 + 3
-  // here); each batch is timed once, yet the worker's wall histogram
-  // still holds one sample per block.
+  // Blocks queued before start() form a backlog; the worker still times
+  // each one, so its wall histogram and Fig 2b's "dsp/fft/wall_ns" both
+  // gain exactly one sample per block.
   const obs::Histogram& wall =
       obs::Registry::global().histogram("rt/worker/0/block_wall_ns");
+  const obs::Histogram& fft =
+      obs::Registry::global().histogram("dsp/fft/wall_ns");
   const std::uint64_t before = wall.count();
+  const std::uint64_t fft_before = fft.count();
   constexpr std::uint64_t kBlocks = 11;
   StreamRuntime runtime(base_config(1));
   const auto mic = runtime.add_mic("m");
@@ -273,6 +275,7 @@ TEST(StreamRuntime, WorkerWallHistogramCountsEveryBlock) {
   runtime.finish();
   EXPECT_EQ(runtime.stats().processed, kBlocks);
   EXPECT_EQ(wall.count() - before, kBlocks);
+  EXPECT_EQ(fft.count() - fft_before, kBlocks);
 }
 
 TEST(StreamRuntime, AddMicAfterStartThrows) {

@@ -157,5 +157,17 @@ TEST_F(PollingFixture, RecoversAfterSessionRestored) {
   EXPECT_GT(monitor.congestion_seen_at_s(), 1.0);
 }
 
+TEST_F(PollingFixture, RestartAfterStopKeepsOneTickSeries) {
+  // stop() then start() inside one period keeps the one pending series.
+  PollingQueueMonitor monitor(*channel, dpid, out, 75);
+  monitor.start();
+  net.loop().run_until(net::from_seconds(0.7));
+  monitor.stop();
+  monitor.start();
+  net.loop().run_until(net::from_seconds(3.05));
+  monitor.stop();
+  EXPECT_EQ(monitor.polls(), 10u);  // 0.3 .. 3.0
+}
+
 }  // namespace
 }  // namespace mdn::sdn
