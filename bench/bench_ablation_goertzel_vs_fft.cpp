@@ -1,7 +1,8 @@
 // Ablation: cost of closed-set Goertzel evaluation vs a full FFT sweep,
 // as a function of how many frequencies the listener watches.  The §6
-// applications watch 3 frequencies — firmly in Goertzel territory; the
-// open-set telemetry of §5 watches dozens, where one FFT wins.
+// applications watch 3 frequencies, on the Goertzel side of a crossover
+// near 4; the open-set telemetry of §5 watches dozens, where one FFT
+// wins.
 #include <benchmark/benchmark.h>
 
 #include "audio/audio.h"

@@ -77,14 +77,22 @@ void AcousticChannel::emit(SourceId id, Waveform sound, double start_time_s,
        /*loop=*/false, tag});
 }
 
+double AcousticChannel::flight_s(SourceId source,
+                                 Position listener) const noexcept {
+  if (speed_of_sound_ <= 0.0) return 0.0;
+  return distance_m(sources_[source].position, listener) / speed_of_sound_;
+}
+
 std::size_t AcousticChannel::collect_tags(
-    double start_s, double end_s, std::span<EmissionTag> out) const noexcept {
+    Position listener, double start_s, double end_s,
+    std::span<EmissionTag> out) const noexcept {
   std::size_t n = 0;
   for (const Emission& e : emissions_) {
     if (e.tag.cause == 0) continue;
+    const double arrive_s = e.start_s + flight_s(e.source, listener);
     const double e_end =
-        e.start_s + static_cast<double>(e.sound.size()) / sample_rate_;
-    if (e.start_s < end_s && e_end > start_s) {
+        arrive_s + static_cast<double>(e.sound.size()) / sample_rate_;
+    if (arrive_s < end_s && e_end > start_s) {
       if (n == out.size()) break;  // truncate: fixed listener scratch
       out[n++] = e.tag;
     }
@@ -117,24 +125,31 @@ Waveform AcousticChannel::render_at(Position listener, double start_time_s,
   const auto mix_emission = [&](const Emission& e) {
     if (e.sound.empty()) return;
     double gain = 1.0;
-    double flight_s = 0.0;
+    double delay_s = 0.0;
     if (!e.ambient) {
-      const double d = distance_m(sources_[e.source].position, listener);
-      gain = distance_gain(d);
-      if (speed_of_sound_ > 0.0) flight_s = d / speed_of_sound_;
+      gain = distance_gain(distance_m(sources_[e.source].position, listener));
+      delay_s = flight_s(e.source, listener);
     }
     const auto len = static_cast<std::ptrdiff_t>(e.sound.size());
     // Sample index (relative to the emission) aligned with out[0].
     const auto rel0 = static_cast<std::ptrdiff_t>(std::llround(
-        (start_time_s - e.start_s - flight_s) * sample_rate_));
+        (start_time_s - e.start_s - delay_s) * sample_rate_));
+    if (!e.loop) {
+      // Only the window samples the emission overlaps: a busy room holds
+      // thousands of emissions, and almost none overlap a given window.
+      const auto lo = std::max<std::ptrdiff_t>(0, -rel0);
+      const auto hi =
+          std::min<std::ptrdiff_t>(static_cast<std::ptrdiff_t>(n), len - rel0);
+      for (std::ptrdiff_t i = lo; i < hi; ++i) {
+        out[static_cast<std::size_t>(i)] +=
+            gain * e.sound[static_cast<std::size_t>(rel0 + i)];
+      }
+      return;
+    }
     for (std::size_t i = 0; i < n; ++i) {
       std::ptrdiff_t rel = rel0 + static_cast<std::ptrdiff_t>(i);
-      if (e.loop) {
-        if (rel < 0) rel = (rel % len + len) % len;
-        else rel %= len;
-      } else if (rel < 0 || rel >= len) {
-        continue;
-      }
+      if (rel < 0) rel = (rel % len + len) % len;
+      else rel %= len;
       out[i] += gain * e.sound[static_cast<std::size_t>(rel)];
     }
   };

@@ -87,12 +87,14 @@ class AcousticChannel {
   void emit(SourceId id, Waveform sound, double start_time_s,
             EmissionTag tag);
 
-  /// Copies the tags of every tagged emission overlapping
-  /// [start_s, end_s) into `out` (at most out.size(); excess is
-  /// truncated).  Returns the number written.  Zero-allocation: this is
-  /// how a listening controller recovers the ground-truth tone ids for
-  /// the block it just recorded.
-  std::size_t collect_tags(double start_s, double end_s,
+  /// Copies the tags of every tagged emission heard at `listener`
+  /// during [start_s, end_s) into `out` (at most out.size(); excess is
+  /// truncated).  Each emission is tested over its arrival interval,
+  /// delayed by the same flight time render_at() applies.  Returns the
+  /// number written.  Zero-allocation: this is how a listening
+  /// controller recovers the ground-truth tone ids for the block it
+  /// just recorded.
+  std::size_t collect_tags(Position listener, double start_s, double end_s,
                            std::span<EmissionTag> out) const noexcept;
 
   /// Adds an ambient bed heard at unit gain from everywhere (room
@@ -128,6 +130,10 @@ class AcousticChannel {
     bool loop = false;
     EmissionTag tag{};
   };
+
+  /// Propagation delay from `source` to `listener` (0 when the speed of
+  /// sound is 0).
+  double flight_s(SourceId source, Position listener) const noexcept;
 
   double sample_rate_;
   double speed_of_sound_ = 0.0;

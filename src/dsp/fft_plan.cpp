@@ -55,6 +55,23 @@ std::vector<Complex> make_twiddles(std::size_t n, bool inverse) {
   return w;
 }
 
+// Bluestein's pointwise multiply, out[i] = a[i] * b[i], spelled out on
+// doubles like the butterflies: re = ar*br - ai*bi, im = ar*bi + ai*br.
+// `out` may alias `a`.
+void cmul(const Complex* a, const Complex* b, Complex* out, std::size_t n) {
+  const double* ap = reinterpret_cast<const double*>(a);
+  const double* bp = reinterpret_cast<const double*>(b);
+  double* op = reinterpret_cast<double*>(out);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double ar = ap[2 * i], ai = ap[2 * i + 1];
+    const double br = bp[2 * i], bi = bp[2 * i + 1];
+    const double re = ar * br - ai * bi;
+    const double im = ar * bi + ai * br;
+    op[2 * i] = re;
+    op[2 * i + 1] = im;
+  }
+}
+
 }  // namespace
 
 FftPlan::FftPlan(std::size_t size, bool inverse)
@@ -146,15 +163,14 @@ void FftPlan::execute(std::span<Complex> data,
     throw std::invalid_argument("FftPlan::execute: scratch too small");
   }
   // a = (x .* w) zero-padded to m, convolved with the precomputed kernel.
-  const simd::Kernels& kern = simd::active_kernels();
   std::span<Complex> a = scratch.first(m_);
-  kern.cmul_aos(data.data(), chirp_.data(), a.data(), n_);
+  cmul(data.data(), chirp_.data(), a.data(), n_);
   for (std::size_t k = n_; k < m_; ++k) a[k] = Complex{0.0, 0.0};
   conv_forward_->execute_pow2(a);
-  kern.cmul_aos(a.data(), kernel_fft_.data(), a.data(), m_);
+  cmul(a.data(), kernel_fft_.data(), a.data(), m_);
   conv_inverse_->execute_pow2(a);
   const double scale = 1.0 / static_cast<double>(m_);
-  kern.cmul_aos(a.data(), chirp_.data(), data.data(), n_);
+  cmul(a.data(), chirp_.data(), data.data(), n_);
   for (std::size_t k = 0; k < n_; ++k) {
     data[k] = Complex{data[k].real() * scale, data[k].imag() * scale};
   }

@@ -1,11 +1,8 @@
 #include "dsp/goertzel.h"
 
-#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <vector>
-
-#include "dsp/simd.h"
 
 namespace mdn::dsp {
 
@@ -60,26 +57,19 @@ GoertzelBank::GoertzelBank(std::span<const double> frequencies_hz,
 
 void GoertzelBank::block_powers(std::span<const double> block,
                                 std::span<double> out) const {
-  // The recurrence runs through the SIMD kernel table: vector paths
-  // stream the block once for groups of vector-width filters, the
-  // scalar reference goes filter-major — per-filter arithmetic is
-  // identical either way (see dsp/simd.h).  Final states land in a
-  // grow-once thread-local scratch so the hot call stays alloc-free.
-  const std::size_t nf = coeff_.size();
-  thread_local std::vector<double> s1, s2;
-  if (s1.size() < nf) {
-    s1.resize(nf);
-    s2.resize(nf);
-  }
-  std::fill_n(s1.begin(), nf, 0.0);
-  std::fill_n(s2.begin(), nf, 0.0);
-  simd::active_kernels().goertzel_iterate(block.data(), block.size(),
-                                          coeff_.data(), nf, s1.data(),
-                                          s2.data());
-  for (std::size_t i = 0; i < nf; ++i) {
-    const double real = s1[i] - s2[i] * cos_w_[i];
-    const double imag = s2[i] * sin_w_[i];
-    out[i] = real * real + imag * imag;
+  // Filter-major: each filter streams the block with its two states in
+  // registers — the same recurrence and finish as goertzel_power().
+  for (std::size_t f = 0; f < coeff_.size(); ++f) {
+    const double c = coeff_[f];
+    double s1 = 0.0, s2 = 0.0;
+    for (const double x : block) {
+      const double s0 = x + c * s1 - s2;
+      s2 = s1;
+      s1 = s0;
+    }
+    const double real = s1 - s2 * cos_w_[f];
+    const double imag = s2 * sin_w_[f];
+    out[f] = real * real + imag * imag;
   }
 }
 

@@ -68,40 +68,6 @@ void butterfly_aos_scalar(Complex* a, Complex* b, const Complex* tw,
   }
 }
 
-void cmul_aos_scalar(const Complex* a, const Complex* b, Complex* out,
-                     std::size_t n) {
-  const double* ap = flat(a);
-  const double* bp = flat(b);
-  double* op = flat(out);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double ar = ap[2 * i], ai = ap[2 * i + 1];
-    const double br = bp[2 * i], bi = bp[2 * i + 1];
-    const double re = ar * br - ai * bi;
-    const double im = ar * bi + ai * br;
-    op[2 * i] = re;
-    op[2 * i + 1] = im;
-  }
-}
-
-void goertzel_iterate_scalar(const double* x, std::size_t n,
-                             const double* coeff, std::size_t nf, double* s1,
-                             double* s2) {
-  // Filter-major: each filter streams the block with its state in
-  // registers — identical per-filter arithmetic to the vector paths,
-  // which run groups of filters sample-major instead.
-  for (std::size_t f = 0; f < nf; ++f) {
-    const double c = coeff[f];
-    double a = s1[f], b = s2[f];
-    for (std::size_t i = 0; i < n; ++i) {
-      const double s0 = x[i] + c * a - b;
-      b = a;
-      a = s0;
-    }
-    s1[f] = a;
-    s2[f] = b;
-  }
-}
-
 double chunk_max_scalar(const double* x, std::size_t n) {
   double m = -std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < n; ++i) {
@@ -111,133 +77,13 @@ double chunk_max_scalar(const double* x, std::size_t n) {
 }
 
 constexpr Kernels kScalarKernels{
-    mul_scalar,      mag_scale_aos_scalar,    butterfly_aos_scalar,
-    cmul_aos_scalar, goertzel_iterate_scalar, chunk_max_scalar,
+    mul_scalar,
+    mag_scale_aos_scalar,
+    butterfly_aos_scalar,
+    chunk_max_scalar,
 };
 
 #if MDN_SIMD_X86
-
-// --- SSE2 kernels (x86-64 baseline, no target attribute needed) --------
-//
-// addsub does not exist in SSE2; `a - b` is computed as `a + (-b)` by
-// flipping the sign bit, which is bitwise identical for every input
-// (IEEE-754 negation is exact, and x + (-y) rounds exactly like x - y).
-
-inline __m128d sse2_neg_lo(__m128d v) noexcept {
-  const __m128d sign = _mm_set_pd(0.0, -0.0);  // [-0.0, 0.0] memory order
-  return _mm_xor_pd(v, sign);
-}
-
-void mul_sse2(const double* a, const double* b, double* out, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    _mm_storeu_pd(out + i,
-                  _mm_mul_pd(_mm_loadu_pd(a + i), _mm_loadu_pd(b + i)));
-  }
-  for (; i < n; ++i) out[i] = a[i] * b[i];
-}
-
-void mag_scale_aos_sse2(const Complex* bins, double scale, double* out,
-                        std::size_t n) {
-  const double* v = flat(bins);
-  const __m128d s = _mm_set1_pd(scale);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128d c0 = _mm_loadu_pd(v + 2 * i);      // [re0, im0]
-    const __m128d c1 = _mm_loadu_pd(v + 2 * i + 2);  // [re1, im1]
-    const __m128d sq0 = _mm_mul_pd(c0, c0);
-    const __m128d sq1 = _mm_mul_pd(c1, c1);
-    const __m128d res = _mm_shuffle_pd(sq0, sq1, 0b00);  // [re0^2, re1^2]
-    const __m128d ims = _mm_shuffle_pd(sq0, sq1, 0b11);  // [im0^2, im1^2]
-    const __m128d sum = _mm_add_pd(res, ims);
-    _mm_storeu_pd(out + i, _mm_mul_pd(_mm_sqrt_pd(sum), s));
-  }
-  for (; i < n; ++i) {
-    const double re = v[2 * i], im = v[2 * i + 1];
-    out[i] = std::sqrt(re * re + im * im) * scale;
-  }
-}
-
-// One complex (128 bits) per iteration: v = b*w via the swap/sign-flip
-// identity, then a +- v with plain adds.
-void butterfly_aos_sse2(Complex* a, Complex* b, const Complex* tw,
-                        std::size_t half) {
-  double* ap = flat(a);
-  double* bp = flat(b);
-  const double* wp = flat(tw);
-  for (std::size_t k = 0; k < half; ++k) {
-    const __m128d bv = _mm_loadu_pd(bp + 2 * k);         // [br, bi]
-    const __m128d wv = _mm_loadu_pd(wp + 2 * k);         // [wr, wi]
-    const __m128d wr = _mm_unpacklo_pd(wv, wv);          // [wr, wr]
-    const __m128d wi = _mm_unpackhi_pd(wv, wv);          // [wi, wi]
-    const __m128d bs = _mm_shuffle_pd(bv, bv, 0b01);     // [bi, br]
-    // v = [br*wr - bi*wi, bi*wr + br*wi]
-    const __m128d v =
-        _mm_add_pd(_mm_mul_pd(bv, wr), sse2_neg_lo(_mm_mul_pd(bs, wi)));
-    const __m128d av = _mm_loadu_pd(ap + 2 * k);
-    _mm_storeu_pd(ap + 2 * k, _mm_add_pd(av, v));
-    _mm_storeu_pd(bp + 2 * k, _mm_sub_pd(av, v));
-  }
-}
-
-void cmul_aos_sse2(const Complex* a, const Complex* b, Complex* out,
-                   std::size_t n) {
-  const double* ap = flat(a);
-  const double* bp = flat(b);
-  double* op = flat(out);
-  for (std::size_t i = 0; i < n; ++i) {
-    const __m128d av = _mm_loadu_pd(ap + 2 * i);      // [ar, ai]
-    const __m128d bv = _mm_loadu_pd(bp + 2 * i);      // [br, bi]
-    const __m128d ar = _mm_unpacklo_pd(av, av);       // [ar, ar]
-    const __m128d ai = _mm_unpackhi_pd(av, av);       // [ai, ai]
-    const __m128d bs = _mm_shuffle_pd(bv, bv, 0b01);  // [bi, br]
-    // [ar*br - ai*bi, ar*bi + ai*br]
-    const __m128d v =
-        _mm_add_pd(_mm_mul_pd(ar, bv), sse2_neg_lo(_mm_mul_pd(ai, bs)));
-    _mm_storeu_pd(op + 2 * i, v);
-  }
-}
-
-void goertzel_iterate_sse2(const double* x, std::size_t n,
-                           const double* coeff, std::size_t nf, double* s1,
-                           double* s2) {
-  std::size_t f = 0;
-  for (; f + 2 <= nf; f += 2) {
-    const __m128d c = _mm_loadu_pd(coeff + f);
-    __m128d a = _mm_loadu_pd(s1 + f);
-    __m128d b = _mm_loadu_pd(s2 + f);
-    for (std::size_t i = 0; i < n; ++i) {
-      const __m128d xv = _mm_set1_pd(x[i]);
-      const __m128d s0 = _mm_sub_pd(_mm_add_pd(xv, _mm_mul_pd(c, a)), b);
-      b = a;
-      a = s0;
-    }
-    _mm_storeu_pd(s1 + f, a);
-    _mm_storeu_pd(s2 + f, b);
-  }
-  if (f < nf) {
-    goertzel_iterate_scalar(x, n, coeff + f, nf - f, s1 + f, s2 + f);
-  }
-}
-
-double chunk_max_sse2(const double* x, std::size_t n) {
-  if (n < 4) return chunk_max_scalar(x, n);
-  __m128d m = _mm_loadu_pd(x);
-  std::size_t i = 2;
-  for (; i + 2 <= n; i += 2) m = _mm_max_pd(m, _mm_loadu_pd(x + i));
-  double lanes[2];
-  _mm_storeu_pd(lanes, m);
-  double best = lanes[0] > lanes[1] ? lanes[0] : lanes[1];
-  for (; i < n; ++i) {
-    if (x[i] > best) best = x[i];
-  }
-  return best;
-}
-
-constexpr Kernels kSse2Kernels{
-    mul_sse2,      mag_scale_aos_sse2,    butterfly_aos_sse2,
-    cmul_aos_sse2, goertzel_iterate_sse2, chunk_max_sse2,
-};
 
 // --- AVX2 kernels ------------------------------------------------------
 //
@@ -300,54 +146,11 @@ MDN_AVX2 void butterfly_aos_avx2(Complex* a, Complex* b, const Complex* tw,
     _mm256_storeu_pd(ap + 2 * k, _mm256_add_pd(av, v));
     _mm256_storeu_pd(bp + 2 * k, _mm256_sub_pd(av, v));
   }
-  if (k < half) butterfly_aos_sse2(a + k, b + k, tw + k, half - k);
-}
-
-MDN_AVX2 void cmul_aos_avx2(const Complex* a, const Complex* b, Complex* out,
-                            std::size_t n) {
-  const double* ap = flat(a);
-  const double* bp = flat(b);
-  double* op = flat(out);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m256d av = _mm256_loadu_pd(ap + 2 * i);
-    const __m256d bv = _mm256_loadu_pd(bp + 2 * i);
-    const __m256d ar = _mm256_permute_pd(av, 0b0000);
-    const __m256d ai = _mm256_permute_pd(av, 0b1111);
-    const __m256d bs = _mm256_permute_pd(bv, 0b0101);
-    // [ar*br - ai*bi, ar*bi + ai*br] per complex
-    const __m256d v =
-        _mm256_addsub_pd(_mm256_mul_pd(ar, bv), _mm256_mul_pd(ai, bs));
-    _mm256_storeu_pd(op + 2 * i, v);
-  }
-  if (i < n) cmul_aos_sse2(a + i, b + i, out + i, n - i);
-}
-
-MDN_AVX2 void goertzel_iterate_avx2(const double* x, std::size_t n,
-                                    const double* coeff, std::size_t nf,
-                                    double* s1, double* s2) {
-  std::size_t f = 0;
-  for (; f + 4 <= nf; f += 4) {
-    const __m256d c = _mm256_loadu_pd(coeff + f);
-    __m256d a = _mm256_loadu_pd(s1 + f);
-    __m256d b = _mm256_loadu_pd(s2 + f);
-    for (std::size_t i = 0; i < n; ++i) {
-      const __m256d xv = _mm256_set1_pd(x[i]);
-      const __m256d s0 =
-          _mm256_sub_pd(_mm256_add_pd(xv, _mm256_mul_pd(c, a)), b);
-      b = a;
-      a = s0;
-    }
-    _mm256_storeu_pd(s1 + f, a);
-    _mm256_storeu_pd(s2 + f, b);
-  }
-  if (f < nf) {
-    goertzel_iterate_sse2(x, n, coeff + f, nf - f, s1 + f, s2 + f);
-  }
+  if (k < half) butterfly_aos_scalar(a + k, b + k, tw + k, half - k);
 }
 
 MDN_AVX2 double chunk_max_avx2(const double* x, std::size_t n) {
-  if (n < 8) return chunk_max_sse2(x, n);
+  if (n < 8) return chunk_max_scalar(x, n);
   __m256d m = _mm256_loadu_pd(x);
   std::size_t i = 4;
   for (; i + 4 <= n; i += 4) m = _mm256_max_pd(m, _mm256_loadu_pd(x + i));
@@ -364,35 +167,28 @@ MDN_AVX2 double chunk_max_avx2(const double* x, std::size_t n) {
 }
 
 constexpr Kernels kAvx2Kernels{
-    mul_avx2,      mag_scale_aos_avx2,    butterfly_aos_avx2,
-    cmul_aos_avx2, goertzel_iterate_avx2, chunk_max_avx2,
+    mul_avx2,
+    mag_scale_aos_avx2,
+    butterfly_aos_avx2,
+    chunk_max_avx2,
 };
 
 #endif  // MDN_SIMD_X86
 
 Isa detect_isa() noexcept {
-#if MDN_SIMD_X86
-  if (__builtin_cpu_supports("avx2")) return Isa::kAvx2;
-  return Isa::kSse2;  // SSE2 is the x86-64 baseline
-#else
-  return Isa::kScalar;
-#endif
+  return isa_available(Isa::kAvx2) ? Isa::kAvx2 : Isa::kScalar;
 }
 
-// Selected once (lazily) and then read with one relaxed load per call.
-// set_active_isa_for_testing may rewrite it; both stores are idempotent
-// with respect to concurrent detection, so the benign init race is fine.
-// Declared through the check shim (common/atomic.h): std::atomic in
-// normal builds; tests/model/ verifies the single-init protocol.
+// The whole dispatch state: selected once (lazily) and then read with
+// one acquire load per call; active_isa() is derived from it.
+// set_active_isa_for_testing may rewrite it; every initializer stores
+// the same table, so the benign init race is fine.  Declared through
+// the check shim (common/atomic.h): std::atomic in normal builds;
+// tests/model/ verifies the single-init protocol.
 check::Atomic<const Kernels*> g_active_table{nullptr};
-check::Atomic<int> g_active_isa{-1};
 
 const Kernels* init_active() MDN_CHECK_NOEXCEPT {
-  const Isa isa = detect_isa();
-  const Kernels* table = &kernels_for(isa);
-  // mo: idempotent hint (same value from every initializer); the table
-  // pointer below carries the real publication
-  g_active_isa.store(static_cast<int>(isa), std::memory_order_relaxed);
+  const Kernels* table = &kernels_for(detect_isa());
   // mo: release publishes the (immutable, static) table selection to
   // active_kernels' acquire load
   g_active_table.store(table, std::memory_order_release);
@@ -404,7 +200,6 @@ const Kernels* init_active() MDN_CHECK_NOEXCEPT {
 const char* isa_name(Isa isa) noexcept {
   switch (isa) {
     case Isa::kScalar: return "scalar";
-    case Isa::kSse2: return "sse2";
     case Isa::kAvx2: return "avx2";
   }
   return "unknown";
@@ -413,21 +208,13 @@ const char* isa_name(Isa isa) noexcept {
 bool isa_available(Isa isa) noexcept {
 #if MDN_SIMD_X86
   if (isa == Isa::kAvx2) return __builtin_cpu_supports("avx2") != 0;
-  return true;  // scalar and sse2 always
-#else
-  return isa == Isa::kScalar;
 #endif
+  return isa == Isa::kScalar;
 }
 
 const Kernels& kernels_for(Isa isa) noexcept {
 #if MDN_SIMD_X86
-  switch (isa) {
-    case Isa::kScalar: return kScalarKernels;
-    case Isa::kSse2: return kSse2Kernels;
-    case Isa::kAvx2:
-      if (isa_available(Isa::kAvx2)) return kAvx2Kernels;
-      return kScalarKernels;
-  }
+  if (isa == Isa::kAvx2 && isa_available(Isa::kAvx2)) return kAvx2Kernels;
 #else
   (void)isa;
 #endif
@@ -435,19 +222,15 @@ const Kernels& kernels_for(Isa isa) noexcept {
 }
 
 Isa active_isa() MDN_CHECK_NOEXCEPT {
-  // mo: plain enum readback, no dependent data behind it
-  const int isa = g_active_isa.load(std::memory_order_relaxed);
-  if (isa < 0) {
-    init_active();
-    // mo: plain enum readback, no dependent data behind it
-    return static_cast<Isa>(g_active_isa.load(std::memory_order_relaxed));
-  }
-  return static_cast<Isa>(isa);
+#if MDN_SIMD_X86
+  if (&active_kernels() == &kAvx2Kernels) return Isa::kAvx2;
+#endif
+  return Isa::kScalar;
 }
 
 const Kernels& active_kernels() MDN_CHECK_NOEXCEPT {
-  // mo: pairs with init_active's release store; the table the pointer
-  // leads to must be visible before use
+  // mo: pairs with the release stores; the table the pointer leads to
+  // must be visible before use
   const Kernels* table = g_active_table.load(std::memory_order_acquire);
   if (table == nullptr) table = init_active();
   return *table;
@@ -456,8 +239,6 @@ const Kernels& active_kernels() MDN_CHECK_NOEXCEPT {
 Isa set_active_isa_for_testing(Isa isa) MDN_CHECK_NOEXCEPT {
   const Isa previous = active_isa();
   if (!isa_available(isa)) return previous;
-  // mo: idempotent hint; the table pointer carries the publication
-  g_active_isa.store(static_cast<int>(isa), std::memory_order_relaxed);
   // mo: release publishes the (immutable, static) table selection to
   // active_kernels' acquire load
   g_active_table.store(&kernels_for(isa), std::memory_order_release);
@@ -465,8 +246,6 @@ Isa set_active_isa_for_testing(Isa isa) MDN_CHECK_NOEXCEPT {
 }
 
 void reset_dispatch_for_testing() MDN_CHECK_NOEXCEPT {
-  // mo: test-only teardown; callers quiesce the hot path first
-  g_active_isa.store(-1, std::memory_order_relaxed);
   // mo: test-only teardown; callers quiesce the hot path first
   g_active_table.store(nullptr, std::memory_order_release);
 }

@@ -1,11 +1,13 @@
 // SIMD kernel dispatch for the DSP hot path.
 //
 // The detection loop spends its time in four elementwise passes —
-// window multiply, FFT butterflies, Goertzel recurrences and spectrum
-// magnitudes.  Each has a vectorised AVX2 and SSE2 implementation plus
-// a scalar reference, selected once at startup by runtime CPU
-// detection and reached through a table of function pointers, so the
-// per-call cost of dispatch is one pointer load.
+// window multiply, FFT butterflies, spectrum magnitudes and the
+// peak-scan prescan.  Each has a vectorised AVX2 implementation plus a
+// scalar reference, selected once at startup by runtime CPU detection
+// and reached through a table of function pointers, so the per-call
+// cost of dispatch is one pointer load.  A kernel earns a vector body
+// only when a benchmark workload runs it and measures it faster (see
+// DESIGN.md, "One implementation per hot path").
 //
 // Contract: the scalar kernels are the *reference semantics*.  Every
 // vector kernel performs the identical arithmetic, in the identical
@@ -20,7 +22,7 @@
 // switch, no environment variables — getenv is banned by the
 // determinism lint) and only the scalar table is compiled in.  The
 // selected path is exported as the gauge "dsp/simd/dispatch"
-// (0=scalar, 1=sse2, 2=avx2) so every bench JSON records which kernels
+// (0=scalar, 2=avx2) so every bench JSON records which kernels
 // produced its numbers.
 #pragma once
 
@@ -32,13 +34,14 @@
 
 namespace mdn::dsp::simd {
 
+/// The values are the "dsp/simd/dispatch" gauge readings recorded in
+/// blessed baselines; keep them stable.
 enum class Isa : int {
   kScalar = 0,
-  kSse2 = 1,
   kAvx2 = 2,
 };
 
-/// Human-readable name ("scalar", "sse2", "avx2").
+/// Human-readable name ("scalar", "avx2").
 const char* isa_name(Isa isa) noexcept;
 
 /// The kernel table.  All kernels are safe on unaligned pointers and
@@ -57,21 +60,6 @@ struct Kernels {
   void (*butterfly_aos)(Complex* a, Complex* b, const Complex* tw,
                         std::size_t half);
 
-  /// out[i] = a[i] * b[i] (complex, AoS): re = ar*br - ai*bi,
-  /// im = ar*bi + ai*br.  `out` may alias `a`.
-  void (*cmul_aos)(const Complex* a, const Complex* b, Complex* out,
-                   std::size_t n);
-
-  /// Goertzel recurrence for `nf` filters over one block: for each
-  /// filter f, s0 = x + coeff[f]*s1 - s2 per sample, leaving the final
-  /// s1/s2 states in s1[f]/s2[f] (callers finish power/phase scalar).
-  /// s1 and s2 must be zero-initialised by the caller.  Vector paths
-  /// run filters in groups of the vector width (sample-major), scalar
-  /// runs filter-major; per-filter arithmetic is identical either way.
-  void (*goertzel_iterate)(const double* x, std::size_t n,
-                           const double* coeff, std::size_t nf, double* s1,
-                           double* s2);
-
   /// max(x[0..n)) with a plain elementwise maximum (no NaN handling —
   /// feed finite spectra only).  Returns -inf for n == 0.  Used to skip
   /// whole below-threshold chunks in the peak scan.
@@ -81,7 +69,7 @@ struct Kernels {
 /// The ISA picked at startup (or forced for tests).
 Isa active_isa() MDN_CHECK_NOEXCEPT;
 
-/// The kernel table for the active ISA.  One relaxed atomic load.
+/// The kernel table for the active ISA.  One acquire atomic load.
 MDN_REALTIME const Kernels& active_kernels() MDN_CHECK_NOEXCEPT;
 
 /// True when `isa` is usable in this build on this CPU.

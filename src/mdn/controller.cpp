@@ -107,7 +107,7 @@ bool MdnController::tick() {
   obs::Journal& journal = obs::Journal::global();
   std::size_t ntags = 0;
   if (journal.enabled()) {
-    ntags = channel_.collect_tags(start_s, now_s,
+    ntags = channel_.collect_tags(microphone_.spec().position, start_s, now_s,
                                   std::span<audio::EmissionTag>(tag_scratch_));
   }
 

@@ -29,7 +29,8 @@ HeavyHitterDetector::HeavyHitterDetector(MdnController& controller,
                                          const FrequencyPlan& plan,
                                          DeviceId device,
                                          HeavyHitterConfig config)
-    : plan_(plan),
+    : loop_(controller.loop()),
+      plan_(plan),
       device_(device),
       config_(config),
       window_(plan.symbol_count(device)),
@@ -59,11 +60,13 @@ void HeavyHitterDetector::on_event(std::size_t bin, const ToneEvent& event) {
       obs::Journal& journal = obs::Journal::global();
       if (journal.enabled()) {
         // The alert's cause is the onset that pushed the window over the
-        // threshold; the earlier onsets are context, not causes.
+        // threshold; the earlier onsets are context, not causes.  Stamped
+        // when the controller hears it (block end), not at the block
+        // start in event.time_s, so it never precedes its detection.
         obs::JournalRecord rec;
         rec.kind = obs::JournalKind::kAppAction;
         rec.cause = event.cause;
-        rec.sim_ns = net::from_seconds(event.time_s);
+        rec.sim_ns = loop_.now();
         rec.frequency_hz = alert.frequency_hz;
         rec.value = static_cast<double>(count);
         rec.aux = bin;

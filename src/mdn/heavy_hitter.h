@@ -85,6 +85,7 @@ class HeavyHitterDetector {
   void on_event(std::size_t bin, const ToneEvent& event);
   void expire(std::size_t bin, double now_s) const;
 
+  net::EventLoop& loop_;  // the controller's: stamps the alert record
   const FrequencyPlan& plan_;
   DeviceId device_;
   HeavyHitterConfig config_;

@@ -42,10 +42,16 @@ void MicArray::ingest_event(const std::string& mic, const ToneEvent& event) {
   if (journal.enabled()) {
     // Fusion link: the merged event cites the first hearing's detection
     // record; later hearings fold into the same merged event silently.
+    // It is stamped at that detection (block end), not at the block
+    // start in event.time_s; there is no clock here, since inline
+    // handlers and StreamRuntime::deliver_to both feed this.
+    obs::JournalRecord detection;
     obs::JournalRecord rec;
     rec.kind = obs::JournalKind::kMergedEvent;
     rec.cause = event.cause;
-    rec.sim_ns = net::from_seconds(event.time_s);
+    rec.sim_ns = journal.find(event.cause, &detection)
+                     ? detection.sim_ns
+                     : net::from_seconds(event.time_s);
     rec.frequency_hz = event.frequency_hz;
     rec.value = event.amplitude;
     obs::set_journal_label(rec, mic);

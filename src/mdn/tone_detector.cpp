@@ -48,7 +48,7 @@ ToneDetector::ToneDetector(const ToneDetectorConfig& config)
     block_window_ = dsp::make_window(config.window, config.block_size);
   }
   // First registry consumer with kernel access: publish which SIMD path
-  // (avx2/sse2/scalar) will produce every number this detector reports.
+  // (avx2/scalar) will produce every number this detector reports.
   dsp::simd::export_dispatch_metrics();
 }
 

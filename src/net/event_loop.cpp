@@ -14,35 +14,29 @@ EventLoop::EventLoop()
           &obs::Registry::global().histogram("net/loop/callback_wall_ns"),
           &tracer_, "event", tracer_.track("net/loop")) {}
 
+namespace {
+
+// std:: heap algorithms build a max-heap; reversing Event::before puts
+// the earliest (time, id) on top.  Keys are unique, so the order is
+// total and dispatch order is fully determined.
+struct Later {
+  template <typename E>
+  bool operator()(const E& a, const E& b) const noexcept {
+    return b.before(a);
+  }
+};
+
+}  // namespace
+
 void EventLoop::push_event(Event ev) {
   heap_.push_back(std::move(ev));
-  // Sift up.
-  std::size_t i = heap_.size() - 1;
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (!heap_[i].before(heap_[parent])) break;
-    std::swap(heap_[i], heap_[parent]);
-    i = parent;
-  }
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 EventLoop::Event EventLoop::pop_event() {
-  Event top = std::move(heap_.front());
-  heap_.front() = std::move(heap_.back());
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  Event top = std::move(heap_.back());
   heap_.pop_back();
-  // Sift down.
-  const std::size_t n = heap_.size();
-  std::size_t i = 0;
-  while (true) {
-    const std::size_t l = 2 * i + 1;
-    const std::size_t r = l + 1;
-    std::size_t least = i;
-    if (l < n && heap_[l].before(heap_[least])) least = l;
-    if (r < n && heap_[r].before(heap_[least])) least = r;
-    if (least == i) break;
-    std::swap(heap_[i], heap_[least]);
-    i = least;
-  }
   return top;
 }
 
@@ -111,23 +105,7 @@ void EventLoop::compact() {
   heap_.erase(std::remove_if(heap_.begin(), heap_.end(),
                              [](const Event& ev) { return !ev.cb; }),
               heap_.end());
-  if (heap_.size() > 1) {
-    // Floyd heapify: sift down every internal node, deepest first.
-    const std::size_t n = heap_.size();
-    for (std::size_t root = n / 2; root-- > 0;) {
-      std::size_t i = root;
-      while (true) {
-        const std::size_t l = 2 * i + 1;
-        const std::size_t r = l + 1;
-        std::size_t least = i;
-        if (l < n && heap_[l].before(heap_[least])) least = l;
-        if (r < n && heap_[r].before(heap_[least])) least = r;
-        if (least == i) break;
-        std::swap(heap_[i], heap_[least]);
-        i = least;
-      }
-    }
-  }
+  std::make_heap(heap_.begin(), heap_.end(), Later{});
   heap_.shrink_to_fit();
 }
 

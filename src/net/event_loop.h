@@ -86,7 +86,7 @@ class EventLoop {
   Event pop_event();  // precondition: !heap_.empty()
   // Drops cancelled tombstones off the top so heap_.front() is live.
   void drop_dead_heads();
-  // Erases every tombstone and rebuilds the heap in place (Floyd,
+  // Erases every tombstone and rebuilds the heap in place (make_heap,
   // O(live)).  Called by cancel() when tombstones exceed half the heap
   // so schedule/cancel churn cannot grow the heap without bound.
   void compact();

@@ -4,6 +4,7 @@
 
 #include "app_fixture.h"
 #include "net/traffic.h"
+#include "obs/journal.h"
 
 namespace mdn::core {
 namespace {
@@ -62,6 +63,34 @@ TEST_F(HeavyHitterTest, ElephantFlowRaisesAlert) {
   EXPECT_EQ(alert.bin, reporter_->bin_for(flow(80)));
   EXPECT_GE(alert.count_in_window, make_config().threshold);
   EXPECT_LT(alert.time_s, 3.0);  // detected within ~2 windows
+}
+
+TEST_F(HeavyHitterTest, AlertIsStampedNoEarlierThanItsDetection) {
+  // The alert is raised when the controller hears the onset (block
+  // end), so its record must not precede the detection it cites, and
+  // explain() must end on the alert itself.
+  obs::Journal& journal = obs::Journal::global();
+  journal.enable(8192);
+  journal.clear();
+  setup();
+  net::SourceConfig cfg;
+  cfg.flow = flow(80);
+  cfg.start = 100 * net::kMillisecond;
+  cfg.stop = net::from_seconds(4.0);
+  net::CbrSource elephant(*h1_, cfg, 200.0);
+  elephant.start();
+  run_for(4.5);
+
+  ASSERT_FALSE(detector_->alerts().empty());
+  const obs::CauseId id = detector_->alerts().front().cause;
+  obs::JournalRecord alert, detection;
+  ASSERT_TRUE(journal.find(id, &alert));
+  ASSERT_TRUE(journal.find(alert.cause, &detection));
+  EXPECT_EQ(detection.kind, obs::JournalKind::kToneDetected);
+  EXPECT_GE(alert.sim_ns, detection.sim_ns);
+  EXPECT_EQ(journal.explain(id).back().id, id);
+  journal.disable();
+  journal.clear();
 }
 
 TEST_F(HeavyHitterTest, MiceAloneRaiseNoAlert) {

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "audio/audio.h"
 #include "mdn/frequency_plan.h"
 #include "mp/mp.h"
+#include "obs/journal.h"
 
 namespace mdn::core {
 namespace {
@@ -110,6 +113,25 @@ TEST(PositionedChannel, SpeedOfSoundDelaysArrival) {
   EXPECT_GT(ch.render_at({34.3, 0.0}, 0.0, 0.05).peak(), 1.0);
 }
 
+TEST(PositionedChannel, CollectTagsFollowsArrivalTime) {
+  // Same geometry: the tag must ride the block that hears the tone.
+  audio::AcousticChannel ch(kSampleRate);
+  ch.set_speed_of_sound(343.0);
+  const auto src = ch.add_source_at("s", {34.3, 0.0});  // 100 ms away
+  audio::ToneSpec spec;
+  spec.frequency_hz = 700.0;
+  spec.duration_s = 0.05;
+  ch.emit(src, audio::make_tone(spec, kSampleRate), 0.0,
+          audio::EmissionTag{7});
+  std::array<audio::EmissionTag, 4> tags{};
+
+  EXPECT_EQ(ch.collect_tags({0, 0}, 0.0, 0.09, tags), 0u);
+  ASSERT_EQ(ch.collect_tags({0, 0}, 0.1, 0.15, tags), 1u);
+  EXPECT_EQ(tags[0].cause, 7u);
+  // A listener at the source hears it immediately.
+  EXPECT_EQ(ch.collect_tags({34.3, 0.0}, 0.0, 0.05, tags), 1u);
+}
+
 TEST_F(MicArrayTest, EachMicHearsItsLocalRack) {
   MicArray array;
   const std::vector<double> watch{plan_.frequency(dev_a_, 0),
@@ -180,6 +202,31 @@ TEST_F(MicArrayTest, HandlerFiresOncePerMergedEvent) {
   channel_.emit(src_mid, audio::make_tone(spec, kSampleRate), 0.3);
   run_until(1.0);
   EXPECT_EQ(fired, 1);
+}
+
+TEST_F(MicArrayTest, MergedEventIsStampedNoEarlierThanItsDetection) {
+  // The merged record is stamped at the detection it cites (block end),
+  // not at the block start, so explain() ends on the merged event.
+  obs::Journal& journal = obs::Journal::global();
+  journal.enable(4096);
+  journal.clear();
+  MicArray array;
+  const std::vector<double> watch{plan_.frequency(dev_a_, 0)};
+  array.attach(*mic1_, watch, "mic-1");
+  mic1_->start();
+  play(src_a_, plan_.frequency(dev_a_, 0), 0.2);
+  run_until(0.6);
+
+  ASSERT_EQ(array.events().size(), 1u);
+  const obs::CauseId id = array.events()[0].cause;
+  obs::JournalRecord merged, detection;
+  ASSERT_TRUE(journal.find(id, &merged));
+  ASSERT_TRUE(journal.find(merged.cause, &detection));
+  EXPECT_EQ(detection.kind, obs::JournalKind::kToneDetected);
+  EXPECT_GE(merged.sim_ns, detection.sim_ns);
+  EXPECT_EQ(journal.explain(id).back().id, id);
+  journal.disable();
+  journal.clear();
 }
 
 TEST_F(MicArrayTest, DistinctTonesOfSameFrequencyStaySeparate) {

@@ -20,9 +20,13 @@
 namespace mdn::dsp::simd {
 namespace {
 
+// The gauge values blessed baselines were recorded with.
+static_assert(static_cast<int>(Isa::kScalar) == 0);
+static_assert(static_cast<int>(Isa::kAvx2) == 2);
+
 std::vector<Isa> available_isas() {
   std::vector<Isa> out;
-  for (Isa isa : {Isa::kScalar, Isa::kSse2, Isa::kAvx2}) {
+  for (Isa isa : {Isa::kScalar, Isa::kAvx2}) {
     if (isa_available(isa)) out.push_back(isa);
   }
   return out;
@@ -74,7 +78,6 @@ void expect_bits_eq(std::span<const Complex> got,
 TEST(SimdDispatch, ScalarIsAlwaysAvailable) {
   EXPECT_TRUE(isa_available(Isa::kScalar));
   EXPECT_STREQ(isa_name(Isa::kScalar), "scalar");
-  EXPECT_STREQ(isa_name(Isa::kSse2), "sse2");
   EXPECT_STREQ(isa_name(Isa::kAvx2), "avx2");
   // The startup pick must itself be available.
   EXPECT_TRUE(isa_available(active_isa()));
@@ -115,24 +118,6 @@ TEST(SimdKernels, MagScaleMatchesScalarBitwise) {
   }
 }
 
-TEST(SimdKernels, CmulMatchesScalarBitwise) {
-  const Kernels& ref = kernels_for(Isa::kScalar);
-  for (Isa isa : available_isas()) {
-    const Kernels& k = kernels_for(isa);
-    for (std::size_t n : kLens) {
-      const auto a = random_complex(n, 600 + n);
-      const auto b = random_complex(n, 700 + n);
-      std::vector<Complex> want(n), got(n);
-      ref.cmul_aos(a.data(), b.data(), want.data(), n);
-      k.cmul_aos(a.data(), b.data(), got.data(), n);
-      expect_bits_eq(got, want, "cmul_aos", isa);
-      auto inplace = a;
-      k.cmul_aos(inplace.data(), b.data(), inplace.data(), n);
-      expect_bits_eq(inplace, want, "cmul_aos (aliased)", isa);
-    }
-  }
-}
-
 TEST(SimdKernels, ButterflyAosMatchesScalarBitwise) {
   const Kernels& ref = kernels_for(Isa::kScalar);
   for (Isa isa : available_isas()) {
@@ -147,31 +132,6 @@ TEST(SimdKernels, ButterflyAosMatchesScalarBitwise) {
       k.butterfly_aos(ga.data(), gb.data(), tw.data(), half);
       expect_bits_eq(ga, wa, "butterfly_aos a", isa);
       expect_bits_eq(gb, wb, "butterfly_aos b", isa);
-    }
-  }
-}
-
-TEST(SimdKernels, GoertzelIterateMatchesScalarBitwise) {
-  const Kernels& ref = kernels_for(Isa::kScalar);
-  for (Isa isa : available_isas()) {
-    const Kernels& k = kernels_for(isa);
-    for (std::size_t nf : {std::size_t{0}, std::size_t{1}, std::size_t{2},
-                           std::size_t{3}, std::size_t{4}, std::size_t{5},
-                           std::size_t{8}, std::size_t{13}}) {
-      for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{7},
-                            std::size_t{64}, std::size_t{240}}) {
-        const auto x = random_doubles(n, 1900 + n + nf);
-        // Realistic coefficients: 2*cos(w) lies in [-2, 2].
-        const auto coeff = random_doubles(nf, 2000 + nf);
-        std::vector<double> w1(nf, 0.0), w2(nf, 0.0);
-        ref.goertzel_iterate(x.data(), n, coeff.data(), nf, w1.data(),
-                             w2.data());
-        std::vector<double> g1(nf, 0.0), g2(nf, 0.0);
-        k.goertzel_iterate(x.data(), n, coeff.data(), nf, g1.data(),
-                           g2.data());
-        expect_bits_eq(g1, w1, "goertzel s1", isa);
-        expect_bits_eq(g2, w2, "goertzel s2", isa);
-      }
     }
   }
 }

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
+#include <numeric>
+#include <random>
 #include <vector>
 
 namespace mdn::net {
@@ -206,6 +210,62 @@ TEST(EventLoop, CompactionPreservesOrderAndCancellation) {
   for (std::size_t i = 0; i < order.size(); ++i) {
     EXPECT_EQ(order[i], static_cast<int>(2 * i));
   }
+}
+
+TEST(EventLoop, RandomScheduleCancelMatchesReferenceOrder) {
+  // Seeded random times from a narrow range (many ties), cancels past
+  // the compaction threshold, and callbacks that schedule and cancel
+  // more events: the dispatch order must equal a stable sort of the
+  // live events by time, i.e. by (time, scheduling order).
+  enum class State { kPending, kRan, kCancelled };
+  struct Scheduled {
+    SimTime time;
+    EventLoop::EventId id = 0;
+    State state = State::kPending;
+  };
+  EventLoop loop;
+  std::mt19937 rng(17);
+  std::vector<Scheduled> scheduled;     // in scheduling order
+  std::vector<std::size_t> dispatched;  // indices into `scheduled`
+  const auto cancel = [&](std::size_t i) {
+    if (scheduled[i].state == State::kPending) {
+      scheduled[i].state = State::kCancelled;
+    }
+    loop.cancel(scheduled[i].id);  // a no-op once it ran
+  };
+  std::function<void(SimTime)> add = [&](SimTime t) {
+    const std::size_t i = scheduled.size();
+    scheduled.push_back({t});
+    scheduled[i].id = loop.schedule_at(t, [&, i] {
+      scheduled[i].state = State::kRan;
+      dispatched.push_back(i);
+      if (rng() % 3 == 0 && scheduled.size() < 4000) {
+        add(loop.now() + static_cast<SimTime>(rng() % 8));
+      }
+      if (rng() % 5 == 0) cancel(rng() % scheduled.size());
+    });
+  };
+  for (int i = 0; i < 1000; ++i) add(static_cast<SimTime>(rng() % 40));
+
+  std::vector<std::size_t> doomed(scheduled.size());
+  std::iota(doomed.begin(), doomed.end(), std::size_t{0});
+  std::shuffle(doomed.begin(), doomed.end(), rng);
+  doomed.resize(600);  // past the 50% tombstone threshold: compacts
+  for (const std::size_t i : doomed) cancel(i);
+  EXPECT_EQ(loop.pending(), 400u);
+  EXPECT_LE(loop.heap_size(), 2 * loop.pending() + 2);
+  loop.run();
+
+  std::vector<std::size_t> want;
+  for (std::size_t i = 0; i < scheduled.size(); ++i) {
+    if (scheduled[i].state != State::kCancelled) want.push_back(i);
+  }
+  std::stable_sort(want.begin(), want.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return scheduled[a].time < scheduled[b].time;
+                   });
+  EXPECT_GT(scheduled.size(), 1000u);  // callbacks scheduled more
+  EXPECT_EQ(dispatched, want);
 }
 
 }  // namespace
