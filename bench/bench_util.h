@@ -82,7 +82,8 @@ inline bool write_json(const std::string& path) {
     if (i > 0) out += ',';
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.9g", r.kv[i].second);
-    out += "\"" + obs::json_escape(r.kv[i].first) + "\":" + buf;
+    out.append("\"").append(obs::json_escape(r.kv[i].first)).append("\":")
+        .append(buf);
   }
   // The stable key downstream tooling diffs: the whole obs registry.
   out += "},\"metrics\":" + obs::to_json(obs::Registry::global().snapshot());

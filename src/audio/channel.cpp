@@ -60,13 +60,12 @@ const std::string& AcousticChannel::source_name(SourceId id) const {
   return sources_.at(id).name;
 }
 
-void AcousticChannel::emit(SourceId id, Waveform sound, double start_time_s) {
-  emit(id, std::move(sound), start_time_s, EmissionTag{});
-}
-
-void AcousticChannel::emit(SourceId id, Waveform sound, double start_time_s,
-                           EmissionTag tag) {
-  if (sound.sample_rate() != sample_rate_) {
+void AcousticChannel::emit(SourceId id, std::shared_ptr<const Waveform> sound,
+                           double start_time_s, EmissionTag tag) {
+  if (sound == nullptr) {
+    throw std::invalid_argument("emit: null sound");
+  }
+  if (sound->sample_rate() != sample_rate_) {
     throw std::invalid_argument("emit: sample rate mismatch");
   }
   if (id >= sources_.size()) {
@@ -75,6 +74,12 @@ void AcousticChannel::emit(SourceId id, Waveform sound, double start_time_s,
   emissions_.push_back(
       {std::move(sound), start_time_s, id, /*ambient=*/false,
        /*loop=*/false, tag});
+}
+
+void AcousticChannel::emit(SourceId id, Waveform sound, double start_time_s,
+                           EmissionTag tag) {
+  emit(id, std::make_shared<const Waveform>(std::move(sound)), start_time_s,
+       tag);
 }
 
 double AcousticChannel::flight_s(SourceId source,
@@ -91,7 +96,7 @@ std::size_t AcousticChannel::collect_tags(
     if (e.tag.cause == 0) continue;
     const double arrive_s = e.start_s + flight_s(e.source, listener);
     const double e_end =
-        arrive_s + static_cast<double>(e.sound.size()) / sample_rate_;
+        arrive_s + static_cast<double>(e.sound->size()) / sample_rate_;
     if (arrive_s < end_s && e_end > start_s) {
       if (n == out.size()) break;  // truncate: fixed listener scratch
       out[n++] = e.tag;
@@ -106,8 +111,8 @@ void AcousticChannel::add_ambient(Waveform sound, bool loop,
     throw std::invalid_argument("add_ambient: sample rate mismatch");
   }
   if (sound.empty()) return;
-  ambient_.push_back(
-      {std::move(sound), start_time_s, 0, /*ambient=*/true, loop});
+  ambient_.push_back({std::make_shared<const Waveform>(std::move(sound)),
+                      start_time_s, 0, /*ambient=*/true, loop});
 }
 
 Waveform AcousticChannel::render(double start_time_s,
@@ -123,14 +128,15 @@ Waveform AcousticChannel::render_at(Position listener, double start_time_s,
   if (n == 0) return out;
 
   const auto mix_emission = [&](const Emission& e) {
-    if (e.sound.empty()) return;
+    const Waveform& sound = *e.sound;
+    if (sound.empty()) return;
     double gain = 1.0;
     double delay_s = 0.0;
     if (!e.ambient) {
       gain = distance_gain(distance_m(sources_[e.source].position, listener));
       delay_s = flight_s(e.source, listener);
     }
-    const auto len = static_cast<std::ptrdiff_t>(e.sound.size());
+    const auto len = static_cast<std::ptrdiff_t>(sound.size());
     // Sample index (relative to the emission) aligned with out[0].
     const auto rel0 = static_cast<std::ptrdiff_t>(std::llround(
         (start_time_s - e.start_s - delay_s) * sample_rate_));
@@ -142,7 +148,7 @@ Waveform AcousticChannel::render_at(Position listener, double start_time_s,
           std::min<std::ptrdiff_t>(static_cast<std::ptrdiff_t>(n), len - rel0);
       for (std::ptrdiff_t i = lo; i < hi; ++i) {
         out[static_cast<std::size_t>(i)] +=
-            gain * e.sound[static_cast<std::size_t>(rel0 + i)];
+            gain * sound[static_cast<std::size_t>(rel0 + i)];
       }
       return;
     }
@@ -150,7 +156,7 @@ Waveform AcousticChannel::render_at(Position listener, double start_time_s,
       std::ptrdiff_t rel = rel0 + static_cast<std::ptrdiff_t>(i);
       if (rel < 0) rel = (rel % len + len) % len;
       else rel %= len;
-      out[i] += gain * e.sound[static_cast<std::size_t>(rel)];
+      out[i] += gain * sound[static_cast<std::size_t>(rel)];
     }
   };
 
@@ -164,7 +170,7 @@ void AcousticChannel::clear_emissions() { emissions_.clear(); }
 double AcousticChannel::last_emission_end_s() const noexcept {
   double end = 0.0;
   for (const auto& e : emissions_) {
-    end = std::max(end, e.start_s + e.sound.duration_s());
+    end = std::max(end, e.start_s + e.sound->duration_s());
   }
   return end;
 }

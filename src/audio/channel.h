@@ -22,6 +22,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -79,13 +80,17 @@ class AcousticChannel {
   double speed_of_sound() const noexcept { return speed_of_sound_; }
 
   /// Schedules `sound` to play from source `id` starting at
-  /// `start_time_s` (channel time).
-  void emit(SourceId id, Waveform sound, double start_time_s);
+  /// `start_time_s` (channel time).  A set `tag` is provenance (the
+  /// journal id of the emission record) that listeners recover with
+  /// collect_tags().  The channel keeps the immutable waveform by
+  /// reference, so one template (mp::ToneBank) backs every emission of
+  /// the same tone.
+  void emit(SourceId id, std::shared_ptr<const Waveform> sound,
+            double start_time_s, EmissionTag tag = {});
 
-  /// Same, carrying a provenance tag (the journal id of the emission
-  /// record) that listeners can recover with collect_tags().
+  /// Same, for a waveform the caller hands over.
   void emit(SourceId id, Waveform sound, double start_time_s,
-            EmissionTag tag);
+            EmissionTag tag = {});
 
   /// Copies the tags of every tagged emission heard at `listener`
   /// during [start_s, end_s) into `out` (at most out.size(); excess is
@@ -123,7 +128,7 @@ class AcousticChannel {
     Position position;
   };
   struct Emission {
-    Waveform sound;
+    std::shared_ptr<const Waveform> sound;  ///< never null
     double start_s = 0.0;
     SourceId source = 0;
     bool ambient = false;

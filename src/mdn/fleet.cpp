@@ -26,8 +26,10 @@ Fleet::Fleet(net::EventLoop& loop, const FleetConfig& config)
 
     room.switches.reserve(config_.switches_per_room);
     for (std::size_t s = 0; s < config_.switches_per_room; ++s) {
-      const std::string name =
-          "r" + std::to_string(r) + "s" + std::to_string(s);
+      const std::string name = std::string("r")
+                                   .append(std::to_string(r))
+                                   .append("s")
+                                   .append(std::to_string(s));
       SwitchUnit unit;
       unit.sw = std::make_unique<net::Switch>(loop_, name);
       unit.hh_device = room.plan->add_device(name + "-hh", config_.hh_bins);
@@ -35,7 +37,7 @@ Fleet::Fleet(net::EventLoop& loop, const FleetConfig& config)
       const auto spk = room.channel->add_source(name + "-speaker",
                                                 config_.speaker_distance_m);
       unit.bridge = std::make_unique<mp::PiSpeakerBridge>(
-          loop_, *room.channel, spk);
+          loop_, *room.channel, spk, mp::kPiProcessingDelay, &tone_bank_);
       unit.bridge->set_journal_mic(static_cast<std::uint32_t>(r));
       unit.hh_emitter = std::make_unique<mp::MpEmitter>(
           loop_, *unit.bridge, config_.emitter_min_gap);

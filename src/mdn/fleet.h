@@ -5,7 +5,8 @@
 // scale-out inside the simulator: R machine rooms, each an independent
 // AcousticChannel with its own microphone/listening controller, each
 // holding S switches.  Every switch gets the full §5 acoustic stack — a
-// speaker (PiSpeakerBridge, journal-scoped to its room's mic), two
+// speaker (PiSpeakerBridge, journal-scoped to its room's mic, drawing
+// its tones from the one ToneBank the fleet shares), two
 // rate-policed MpEmitters, a HeavyHitterReporter keyed by flow-hash bin
 // and a PortScanReporter keyed by destination port — plus the
 // controller-side HeavyHitterDetector / PortScanDetector subscribed to
@@ -30,6 +31,7 @@
 #include "mdn/heavy_hitter.h"
 #include "mdn/port_scan.h"
 #include "mp/bridge.h"
+#include "mp/tone_bank.h"
 #include "net/event_loop.h"
 #include "net/switch.h"
 
@@ -112,6 +114,9 @@ class Fleet {
  private:
   net::EventLoop& loop_;
   FleetConfig config_;
+  /// Every bridge's tones: each distinct tone is synthesised once per
+  /// fleet.  Declared before rooms_ so it outlives the bridges.
+  mp::ToneBank tone_bank_;
   std::vector<Room> rooms_;
 };
 

@@ -9,11 +9,14 @@ namespace mdn::mp {
 PiSpeakerBridge::PiSpeakerBridge(net::EventLoop& loop,
                                  audio::AcousticChannel& channel,
                                  audio::SourceId source,
-                                 net::SimTime processing_delay)
+                                 net::SimTime processing_delay,
+                                 ToneBank* bank)
     : loop_(loop),
       channel_(channel),
       source_(source),
       processing_delay_(processing_delay),
+      own_bank_(bank == nullptr ? std::make_unique<ToneBank>() : nullptr),
+      bank_(bank == nullptr ? own_bank_.get() : bank),
       played_counter_(
           &obs::Registry::global().counter("mp/bridge/tones_played")),
       malformed_counter_(
@@ -42,6 +45,7 @@ void PiSpeakerBridge::play(const MpMessage& msg) {
   spec.fade_s = std::min(0.015, msg.duration_s / 3.0);
   const double start_s =
       net::to_seconds(loop_.now() + processing_delay_);
+  audio::EmissionTag tag{};
   obs::Journal& journal = obs::Journal::global();
   if (journal.enabled()) {
     // Ground truth for the scoreboard: this exact tone left this
@@ -55,13 +59,10 @@ void PiSpeakerBridge::play(const MpMessage& msg) {
     record.aux = source_;
     record.mic = journal_mic_;
     obs::set_journal_label(record, channel_.source_name(source_));
-    const audio::EmissionTag tag{journal.append(record), msg.frequency_hz};
-    channel_.emit(source_, audio::make_tone(spec, channel_.sample_rate()),
-                  start_s, tag);
-  } else {
-    channel_.emit(source_, audio::make_tone(spec, channel_.sample_rate()),
-                  start_s);
+    tag = {journal.append(record), msg.frequency_hz};
   }
+  channel_.emit(source_, bank_->tone(spec, channel_.sample_rate()), start_s,
+                tag);
   ++played_;
   played_counter_->inc();
 }

@@ -8,23 +8,35 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 
 #include "audio/channel.h"
 #include "mp/message.h"
+#include "mp/tone_bank.h"
 #include "net/event_loop.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
 
 namespace mdn::mp {
 
+/// The Pi's receive-decode-play latency when none is given.
+inline constexpr net::SimTime kPiProcessingDelay = 2 * net::kMillisecond;
+
 class PiSpeakerBridge {
  public:
   /// `source` must have been registered on `channel`; `processing_delay`
-  /// models the Pi's receive-decode-play latency.
+  /// models the Pi's receive-decode-play latency.  Tones come from
+  /// `bank`, which must outlive the bridge; without one the bridge owns
+  /// a bank of its own.
   PiSpeakerBridge(net::EventLoop& loop, audio::AcousticChannel& channel,
                   audio::SourceId source,
-                  net::SimTime processing_delay = 2 * net::kMillisecond);
+                  net::SimTime processing_delay = kPiProcessingDelay,
+                  ToneBank* bank = nullptr);
+
+  // Neither copyable nor movable: bank_ may point at own_bank_'s bank.
+  PiSpeakerBridge(const PiSpeakerBridge&) = delete;
+  PiSpeakerBridge& operator=(const PiSpeakerBridge&) = delete;
 
   /// Delivers a marshaled MP wire buffer (the lwIP path).  Malformed
   /// buffers are counted and ignored.
@@ -52,6 +64,8 @@ class PiSpeakerBridge {
   std::uint64_t played_ = 0;
   std::uint64_t malformed_ = 0;
   MpError last_error_ = MpError::kNone;
+  std::unique_ptr<ToneBank> own_bank_;  ///< set only when built without one
+  ToneBank* bank_;
   obs::Counter* played_counter_;
   obs::Counter* malformed_counter_;
 };

@@ -3,3 +3,4 @@
 
 #include "mp/bridge.h"
 #include "mp/message.h"
+#include "mp/tone_bank.h"

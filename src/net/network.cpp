@@ -97,7 +97,8 @@ std::vector<Switch*> build_chain(Network& net, std::size_t n_switches,
   std::vector<Switch*> switches;
   switches.reserve(n_switches);
   for (std::size_t i = 0; i < n_switches; ++i) {
-    switches.push_back(&net.add_switch("s" + std::to_string(i + 1)));
+    switches.push_back(
+        &net.add_switch(std::string("s").append(std::to_string(i + 1))));
   }
   Host& h_src = net.add_host("h_src", make_ipv4(10, 0, 0, 1));
   Host& h_dst = net.add_host("h_dst", make_ipv4(10, 0, 0, 2));

@@ -1,7 +1,7 @@
 #include "net/traffic_gen.h"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
 
 #include "obs/metrics.h"
 
@@ -49,7 +49,9 @@ std::size_t TrafficGen::target_of(const FlowKey& flow) const {
 }
 
 void TrafficGen::start() {
-  assert(!targets_.empty() && "add_target before start");
+  if (targets_.empty()) {
+    throw std::logic_error("TrafficGen: start with no targets");
+  }
   // Pin each scanner to a target and a source host.  The spread uses a
   // Weyl-style multiplicative step so scanners land on distinct switches
   // when there are at least as many targets as scanners — without

@@ -72,7 +72,8 @@ class TrafficGen {
   void add_target(Switch& sw, std::size_t in_port = 0);
   std::size_t target_count() const noexcept { return targets_.size(); }
 
-  /// Schedules the batch chain.  Requires at least one target.
+  /// Schedules the batch chain.  Throws std::logic_error when no target
+  /// has been added (every packet would be sharded modulo zero).
   void start();
 
   /// Stable shard of `flow` (index into the targets), via the Jenkins

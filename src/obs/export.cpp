@@ -42,7 +42,7 @@ void append_metric_fields(std::string& out, const MetricSnapshot& m) {
         first = false;
         out += '[';
         append_number(out, h.bounds[i]);
-        out += "," + std::to_string(h.buckets[i]) + "]";
+        out.append(",").append(std::to_string(h.buckets[i])).append("]");
       }
       out += ']';
       break;
@@ -186,7 +186,7 @@ std::string to_json(const Snapshot& snapshot) {
   for (const MetricSnapshot& m : snapshot) {
     if (!first) out += ',';
     first = false;
-    out += "\"" + json_escape(m.name) + "\":{";
+    out.append("\"").append(json_escape(m.name)).append("\":{");
     append_metric_fields(out, m);
     out += '}';
   }

@@ -228,15 +228,19 @@ std::string explain_text(const Journal& journal, CauseId action) {
     if (r.mic != kJournalNoMic) detail += " mic=" + std::to_string(r.mic);
     if (r.watch >= 0) detail += " watch=" + std::to_string(r.watch);
     if (r.kind == JournalKind::kFsmTransition) {
-      detail += " " + std::to_string(r.aux >> 32) + "->" +
-                std::to_string(r.aux & 0xffffffffu);
+      detail.append(" ")
+          .append(std::to_string(r.aux >> 32))
+          .append("->")
+          .append(std::to_string(r.aux & 0xffffffffu));
     }
     if (r.kind == JournalKind::kFlowMod) {
       detail += " dpid=" + std::to_string(r.aux);
     }
     if (r.kind == JournalKind::kHealthAlert) {
-      detail += " " + std::to_string((r.aux >> 8) & 0xffu) + "->" +
-                std::to_string(r.aux & 0xffu);
+      detail.append(" ")
+          .append(std::to_string((r.aux >> 8) & 0xffu))
+          .append("->")
+          .append(std::to_string(r.aux & 0xffu));
     }
     std::string links;
     if (r.cause != 0) links += " <- #" + std::to_string(r.cause);

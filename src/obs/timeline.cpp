@@ -108,7 +108,7 @@ std::string Timeline::to_timeline_jsonl() const {
     out += "{\"t_ns\":" + std::to_string(time_at(i)) + ",\"values\":{";
     for (std::size_t t = 0; t < tracks_.size(); ++t) {
       if (t != 0) out += ',';
-      out += "\"" + json_escape(tracks_[t].name) + "\":";
+      out.append("\"").append(json_escape(tracks_[t].name)).append("\":");
       append_number(out, value_at(i, t));
     }
     out += "}}\n";

@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <string>
+#include <utility>
 
 #include "net/traffic_gen.h"
 #include "obs/journal.h"
+#include "obs/metrics.h"
 #include "obs/scoreboard.h"
 
 namespace mdn::core {
@@ -48,11 +51,25 @@ struct FleetRun {
   std::uint64_t onsets = 0;
   obs::Scoreboard::Cell mic0, mic1, grand;
   std::string board;
+  std::uint64_t tones_played = 0;
+  std::uint64_t tones_synthesised = 0;
+  /// Distinct (frequency, intensity) pairs among the kToneEmitted
+  /// records.  Every fleet reporter plays its config's one duration and
+  /// a frequency belongs to one reporter, so a pair fixes the whole
+  /// (frequency, duration, intensity) triple.
+  std::size_t distinct_tones = 0;
 };
+
+std::uint64_t counter_value(const char* name) {
+  return obs::Registry::global().counter(name).value();
+}
 
 FleetRun run_small_fleet(double skew) {
   obs::Journal::global().enable(1u << 16);
   obs::Journal::global().clear();
+  const std::uint64_t played0 = counter_value("mp/bridge/tones_played");
+  const std::uint64_t synthesised0 =
+      counter_value("mp/bridge/tones_synthesised");
 
   net::EventLoop loop;
   Fleet fleet(loop, small_fleet());
@@ -88,6 +105,17 @@ FleetRun run_small_fleet(double skew) {
   r.mic1 = board.totals(1);
   r.grand = board.grand_totals();
   r.board = board.render();
+  r.tones_played = counter_value("mp/bridge/tones_played") - played0;
+  r.tones_synthesised =
+      counter_value("mp/bridge/tones_synthesised") - synthesised0;
+  EXPECT_EQ(obs::Journal::global().evicted(), 0u);
+  std::set<std::pair<double, double>> tones;
+  for (const obs::JournalRecord& rec : obs::Journal::global().snapshot()) {
+    if (rec.kind == obs::JournalKind::kToneEmitted) {
+      tones.emplace(rec.frequency_hz, rec.value);
+    }
+  }
+  r.distinct_tones = tones.size();
   return r;
 }
 
@@ -122,6 +150,14 @@ TEST(Fleet, ReplaysByteIdentically) {
   EXPECT_EQ(a.packets, b.packets);
   EXPECT_EQ(a.onsets, b.onsets);
   EXPECT_EQ(a.board, b.board) << "scoreboard render must be byte-identical";
+}
+
+TEST(Fleet, SynthesisesEachDistinctToneOnce) {
+  // One tone bank serves every bridge in the fleet: a tone is synthesised
+  // the first time any switch plays it and shared from then on.
+  const FleetRun r = run_small_fleet(1.26);
+  EXPECT_EQ(r.tones_synthesised, r.distinct_tones);
+  EXPECT_GT(r.tones_played, r.tones_synthesised) << "tones repeat";
 }
 
 }  // namespace

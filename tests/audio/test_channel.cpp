@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <vector>
 
 #include "audio/synth.h"
 
@@ -126,6 +128,58 @@ TEST(Channel, SampleRateMismatchThrows) {
   EXPECT_THROW(ch.emit(src, tone(500.0, 0.5, 0.1, 16000.0), 0.0),
                std::invalid_argument);
   EXPECT_THROW(ch.add_ambient(tone(500.0, 0.5, 0.1, 16000.0)),
+               std::invalid_argument);
+}
+
+TEST(Channel, SharedEmissionIsHeldNotCopied) {
+  AcousticChannel ch(48000.0);
+  const auto near = ch.add_source("near", 1.0);
+  const auto far = ch.add_source("far", 2.0);
+  auto sound =
+      std::make_shared<const Waveform>(tone(700.0, 0.4, 0.1, 48000.0));
+  const Waveform* held = sound.get();
+  ch.emit(near, sound, 0.0);
+  ch.emit(far, sound, 0.2, EmissionTag{7, 700.0});
+  EXPECT_EQ(sound.use_count(), 3);
+  EXPECT_EQ(sound.get(), held);
+
+  // The caller's handle goes; the channel's emissions keep the tone.
+  sound.reset();
+  EXPECT_NEAR(ch.render(0.0, 0.1).peak(), 0.4, 1e-6);
+  EXPECT_NEAR(ch.render(0.2, 0.1).peak(), 0.2, 1e-6);
+  EXPECT_NEAR(ch.last_emission_end_s(), 0.3, 1e-9);
+  EmissionTag tags[2];
+  EXPECT_EQ(ch.collect_tags(Position{}, 0.25, 0.26, tags), 1u);
+  EXPECT_EQ(tags[0].cause, 7u);
+}
+
+TEST(Channel, SharedEmissionRendersLikeACopy) {
+  // One template behind many emissions must mix exactly as many copies
+  // do: same samples, same summation order.
+  const Waveform sound = tone(640.0, 0.3, 0.05, 48000.0);
+  const auto shared = std::make_shared<const Waveform>(sound);
+  AcousticChannel by_ref(48000.0);
+  AcousticChannel by_copy(48000.0);
+  for (AcousticChannel* ch : {&by_ref, &by_copy}) {
+    ch->add_source("a", 0.7);
+    ch->add_source("b", 1.9);
+  }
+  for (int i = 0; i < 6; ++i) {
+    const SourceId src = static_cast<SourceId>(i % 2);
+    const double start = 0.013 * i;
+    by_ref.emit(src, shared, start);
+    by_copy.emit(src, sound, start);
+  }
+  const Waveform a = by_ref.render(0.0, 0.15);
+  const Waveform b = by_copy.render(0.0, 0.15);
+  EXPECT_EQ(std::vector<double>(a.samples().begin(), a.samples().end()),
+            std::vector<double>(b.samples().begin(), b.samples().end()));
+}
+
+TEST(Channel, NullSharedEmissionThrows) {
+  AcousticChannel ch(48000.0);
+  const auto src = ch.add_source("s", 1.0);
+  EXPECT_THROW(ch.emit(src, std::shared_ptr<const Waveform>{}, 0.0),
                std::invalid_argument);
 }
 

@@ -34,7 +34,8 @@ TEST_P(ChannelProperty, RenderIsSuperpositionOfEmissions) {
     const double start = rng.uniform(0.0, 0.5);
     const Waveform sound = random_sound(rng);
 
-    const auto id = combined.add_source("s" + std::to_string(i), dist);
+    const auto id =
+        combined.add_source(std::string("s").append(std::to_string(i)), dist);
     combined.emit(id, sound, start);
 
     singles.push_back(std::make_unique<AcousticChannel>(kSampleRate));

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -97,7 +98,8 @@ TEST_F(GenFixture, SameSeedYieldsByteIdenticalGoldenTrace) {
     std::vector<std::unique_ptr<Switch>> sw;
     TrafficGen gen(l, cfg);
     for (int i = 0; i < 3; ++i) {
-      sw.push_back(std::make_unique<Switch>(l, "s" + std::to_string(i)));
+      sw.push_back(std::make_unique<Switch>(
+          l, std::string("s").append(std::to_string(i))));
       gen.add_target(*sw.back());
     }
     gen.start();
@@ -209,6 +211,25 @@ TEST_F(GenFixture, TargetShardingIsStable) {
     const std::size_t t = gen.target_of(f);
     EXPECT_EQ(gen.target_of(f), t);
     EXPECT_LT(t, 5u);
+  }
+}
+
+TEST(TrafficGen, StartWithoutTargetsThrows) {
+  // Packets are sharded modulo the target count, so an empty target list
+  // must be refused in every build type, scanners or not.
+  for (const std::size_t scanners : {std::size_t{0}, std::size_t{2}}) {
+    EventLoop loop;
+    TrafficGenConfig cfg;
+    cfg.scan_count = scanners;
+    TrafficGen gen(loop, cfg);
+    try {
+      gen.start();
+      ADD_FAILURE() << "start() accepted no targets, scanners=" << scanners;
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("no targets"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(loop.pending(), 0u);
   }
 }
 

@@ -217,7 +217,9 @@ TEST(StreamRuntime, HandlerSeesEventsInCanonicalOrder) {
   auto cfg = base_config(3);
   std::vector<StreamEvent> seen;
   StreamRuntime runtime(cfg);
-  for (int m = 0; m < 3; ++m) runtime.add_mic("m" + std::to_string(m));
+  for (int m = 0; m < 3; ++m) {
+    runtime.add_mic(std::string("m").append(std::to_string(m)));
+  }
   runtime.on_event([&seen](const StreamEvent& e) { seen.push_back(e); });
   runtime.start();
   for (std::uint64_t hop = 0; hop < 10; ++hop) {
