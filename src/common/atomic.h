@@ -11,6 +11,9 @@
 //                       every load/store/RMW through the
 //                       check::Scheduler as a scheduling point, with
 //                       release/acquire vector-clock bookkeeping.
+//                       wait/notify_one/notify_all are modelled too: a
+//                       waiter parks until a notify wakes it, so a
+//                       lost wake-up surfaces as a deadlock.
 //   check::Cell<T>    — a NON-atomic value published *through* an
 //                       Atomic (a ring slot's payload).  Plain storage
 //                       in normal builds; under the model checker each
@@ -192,6 +195,36 @@ class Atomic {
                                std::memory_order success,
                                std::memory_order failure) {
     return cas(expected, desired, success, failure, true);
+  }
+
+  /// std::atomic::wait: returns once the value differs from `old`.  A
+  /// model thread loads the value (a scheduling point, with `order`'s
+  /// happens-before effect) and, while it still equals `old`, parks
+  /// until a notify on this atomic commits.  The load and the park run
+  /// back to back with the token held, like a futex's check-and-sleep,
+  /// so a notify sent before the park is lost and a waiter nobody
+  /// notifies ends the schedule as a deadlock instead of hanging it.
+  void wait(T old, std::memory_order order = std::memory_order_seq_cst) const {
+    if (detail::active_here()) {
+      while (load(order) == old) {
+        if (!detail::wait_park(this)) return;  // schedule is unwinding
+      }
+      return;
+    }
+    storage_.wait(old, order);
+  }
+
+  /// Wakes one thread parked in wait() on this atomic; under the model
+  /// checker, the lowest-numbered one.
+  void notify_one() {
+    if (detail::active_here()) detail::notify(this, false);
+    storage_.notify_one();
+  }
+
+  /// Wakes every thread parked in wait() on this atomic.
+  void notify_all() {
+    if (detail::active_here()) detail::notify(this, true);
+    storage_.notify_all();
   }
 
  private:

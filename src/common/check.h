@@ -151,6 +151,8 @@ enum class OpKind : std::uint8_t {
   kMutexTryLock,
   kSpawn,
   kJoin,
+  kWait,
+  kNotify,
 };
 
 #ifdef MDN_MODEL_CHECK
@@ -179,6 +181,16 @@ void on_cell_write(int loc);
 void mutex_lock(const void* addr, const char* name);
 void mutex_unlock(const void* addr, const char* name);
 bool mutex_try_lock(const void* addr, const char* name);
+
+/// Atomic wait/notify modelling (common/atomic.h).  wait_park parks the
+/// caller on the atomic at `addr` until a notify on it commits; the
+/// caller has just loaded the value with the token held, so the check
+/// and the park are one step.  It returns false, without parking, on a
+/// thread unwinding a torn-down schedule.  notify wakes the
+/// lowest-numbered parked waiter, or every one when `all`; with no
+/// waiter parked it does nothing, so a wake-up sent early is lost.
+bool wait_park(const void* addr);
+void notify(const void* addr, bool all);
 
 /// Names a location for counterexample rendering (no-op when the
 /// location was never touched by a model thread).

@@ -57,6 +57,8 @@ bool op_writes(OpKind k) noexcept {
     case OpKind::kMutexLock:
     case OpKind::kMutexUnlock:
     case OpKind::kMutexTryLock:
+    case OpKind::kWait:
+    case OpKind::kNotify:
       return true;
     default:
       return false;
@@ -143,6 +145,7 @@ struct ThreadState {
   int pending_order = 0;
   const char* pending_name = nullptr;
   int join_target = -1;
+  bool notified = false;     // a notify reached this parked waiter
   Clock clock;
   std::thread handle;        // spawned threads only (id > 0)
   std::function<void()> fn;  // spawned threads only
@@ -182,6 +185,8 @@ class Scheduler {
   void mutex_lock(const void* addr, const char* name);
   void mutex_unlock(const void* addr, const char* name);
   bool mutex_try_lock(const void* addr, const char* name);
+  void wait_park(const void* addr);
+  void notify(const void* addr, bool all);
   void name_location(const void* addr, const char* name);
 
   int spawn_thread(std::function<void()> fn);
@@ -281,6 +286,7 @@ void Scheduler::run_one_execution(const std::function<void()>& body) {
       t.has_token = false;
       t.pending = OpSig{};
       t.join_target = -1;
+      t.notified = false;
       t.clock.clear();
       t.fn = nullptr;
     }
@@ -384,6 +390,7 @@ bool Scheduler::is_enabled_locked(const ThreadState& t) const {
   if (t.pending.kind == OpKind::kJoin) {
     return threads_[t.join_target].status == ThreadState::Status::kFinished;
   }
+  if (t.pending.kind == OpKind::kWait) return t.notified;
   return true;
 }
 
@@ -563,6 +570,9 @@ int Scheduler::schedule_op(OpKind kind, const void* addr, const char* name,
   }
   if (others) {
     park_and_wait(lk, me);
+  } else if (kind == OpKind::kWait && !me.notified) {
+    record_failure_locked("deadlock: no thread left to notify a waiter");
+    abort_execution_locked(lk);
   }
   // Mutex-lock grants are only issued while the mutex is free, but a
   // replay seed may violate that; re-check to fail cleanly.
@@ -713,6 +723,30 @@ bool Scheduler::mutex_try_lock(const void* addr, const char* name) {
   return true;
 }
 
+// --- atomic wait/notify ----------------------------------------------------
+
+void Scheduler::wait_park(const void* addr) {
+  // Disabled until a notify sets `notified` (is_enabled_locked), so the
+  // scheduler runs the other threads meanwhile, or reports a deadlock.
+  schedule_op(OpKind::kWait, addr, nullptr, 0);
+  std::unique_lock<std::mutex> lk(mu_);
+  threads_[tls_thread_id].notified = false;
+}
+
+void Scheduler::notify(const void* addr, bool all) {
+  const int loc = schedule_op(OpKind::kNotify, addr, nullptr, 0);
+  std::unique_lock<std::mutex> lk(mu_);
+  for (int i = 0; i < thread_count_; ++i) {
+    ThreadState& t = threads_[i];
+    if (t.status == ThreadState::Status::kParked &&
+        t.pending.kind == OpKind::kWait && t.pending.loc == loc &&
+        !t.notified) {
+      t.notified = true;
+      if (!all) break;
+    }
+  }
+}
+
 void Scheduler::name_location(const void* addr, const char* name) {
   std::unique_lock<std::mutex> lk(mu_);
   auto it = loc_ids_.find(addr);
@@ -832,9 +866,10 @@ std::string Scheduler::decisions_string_locked() const {
 }
 
 std::string Scheduler::render_failure_locked(const std::string& message) const {
-  const char* kind_names[] = {"load", "store", "rmw",    "fence",  "read",
-                              "write", "lock",  "unlock", "trylock", "spawn",
-                              "join"};
+  const char* kind_names[] = {"load",    "store", "rmw",  "fence",
+                              "read",    "write", "lock", "unlock",
+                              "trylock", "spawn", "join", "wait",
+                              "notify"};
   constexpr int kCol = 30;
   std::string out = "model-check counterexample\n";
   out += "  failure: " + message + "\n";
@@ -925,7 +960,12 @@ void thread::join() {
   if (joined_) return;
   joined_ = true;
   if (model_id_ >= 0) {
-    if (tls_scheduler != nullptr) tls_scheduler->join_thread(model_id_);
+    // A join reached while unwinding a torn-down schedule (an owner's
+    // destructor) is skipped like every other scheduling point; the
+    // scheduler reaps the thread when the execution ends.
+    if (tls_scheduler != nullptr && std::uncaught_exceptions() == 0) {
+      tls_scheduler->join_thread(model_id_);
+    }
     return;
   }
   if (impl_.joinable()) impl_.join();
@@ -986,6 +1026,15 @@ void mutex_unlock(const void* addr, const char* name) {
 bool mutex_try_lock(const void* addr, const char* name) {
   if (unwinding()) return false;
   return tls_scheduler->mutex_try_lock(addr, name);
+}
+bool wait_park(const void* addr) {
+  if (unwinding()) return false;
+  tls_scheduler->wait_park(addr);
+  return true;
+}
+void notify(const void* addr, bool all) {
+  if (unwinding()) return;
+  tls_scheduler->notify(addr, all);
 }
 void name_location(const void* addr, const char* name) {
   if (tls_scheduler != nullptr) tls_scheduler->name_location(addr, name);

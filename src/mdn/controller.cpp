@@ -61,7 +61,7 @@ void MdnController::observe_blocks(BlockObserver observer) {
   block_observers_.push_back(std::move(observer));
 }
 
-void MdnController::start() {
+void MdnController::start(Clock clock) {
   if (running_) return;
   if (config_.sink == nullptr && config_.health != nullptr &&
       config_.sink_mic >= config_.health->mic_count()) {
@@ -71,7 +71,7 @@ void MdnController::start() {
   running_ = true;
   // A series that has not yet fired since stop() is still scheduled and
   // resumes on its own phase; a second one would double every tick.
-  if (series_pending_) return;
+  if (clock == Clock::kExternal || series_pending_) return;
   series_pending_ = true;
   const net::SimTime hop = net::from_seconds(config_.hop_s);
   loop_.schedule_periodic(hop, hop, [this] {
@@ -82,44 +82,65 @@ void MdnController::start() {
 
 bool MdnController::tick() {
   if (!running_) return false;
-  const net::SimTime sim_now = loop_.now();
+  capture(loop_.now());
+  publish();
+  return running_;
+}
+
+void MdnController::capture(net::SimTime sim_now) {
+  captured_at_ = sim_now;
   const double now_s = net::to_seconds(sim_now);
   const double start_s = now_s - config_.hop_s;
 
   // Stage 1: record the last hop off the acoustic channel.
-  audio::Waveform block(channel_.sample_rate());
   {
-    const auto timed = record_.scope(sim_now);
-    block = microphone_.record(channel_, start_s, config_.hop_s);
-  }
-  ++blocks_;
-  blocks_counter_->inc();
-  if (config_.keep_recording) recording_.append(block);
-
-  for (const auto& observer : block_observers_) {
-    observer(start_s, block.samples());
+    const auto timed = record_.realtime_scope(&record_reading_);
+    block_ = microphone_.record(channel_, start_s, config_.hop_s);
   }
 
   // Provenance: recover the ground-truth tags of emissions overlapping
   // this block (journal on only; a single predicted-false branch when
   // off).  The tags ride to the runtime with the block, or resolve
-  // inline detections below.
-  obs::Journal& journal = obs::Journal::global();
-  std::size_t ntags = 0;
-  if (journal.enabled()) {
-    ntags = channel_.collect_tags(microphone_.spec().position, start_s, now_s,
-                                  std::span<audio::EmissionTag>(tag_scratch_));
+  // inline detections in publish().
+  ntags_ = 0;
+  if (obs::Journal::global().enabled()) {
+    ntags_ = channel_.collect_tags(
+        microphone_.spec().position, start_s, now_s,
+        std::span<audio::EmissionTag>(tag_scratch_));
   }
 
+  // Runtime mode detects on the runtime's sharded workers instead.
+  if (config_.sink != nullptr) return;
+
+  // Stage 2: windowed FFT + peak picking (also feeds "dsp/fft/wall_ns").
+  const auto timed = detect_.realtime_scope(&detect_reading_);
+  detector_.detect_into(block_.samples(), tones_scratch_,
+                        config_.health != nullptr ? &stats_ : nullptr);
+}
+
+void MdnController::publish() {
+  const net::SimTime sim_now = captured_at_;
+  const double now_s = net::to_seconds(sim_now);
+  const double start_s = now_s - config_.hop_s;
+
+  record_.span(sim_now, record_reading_);
+  ++blocks_;
+  blocks_counter_->inc();
+  if (config_.keep_recording) recording_.append(block_);
+
+  for (const auto& observer : block_observers_) {
+    observer(start_s, block_.samples());
+  }
+  const std::span<const audio::EmissionTag> tags(tag_scratch_.data(), ntags_);
+
   // Runtime mode: hand the block to the streaming runtime and return —
-  // detection happens on its sharded workers and onsets come back
-  // through the ordered merge, not through this controller's watches.
+  // onsets come back through the ordered merge, not through this
+  // controller's watches.
   if (config_.sink != nullptr) {
     const auto timed = submit_.scope(sim_now);
-    config_.sink->submit_block(
-        config_.sink_mic, start_s, block.samples(),
-        std::span<const audio::EmissionTag>(tag_scratch_.data(), ntags));
-    return running_;
+    config_.sink->submit_block(config_.sink_mic, start_s, block_.samples(),
+                               tags);
+    return;
   }
 
   // Ingest record: the capture boundary of the latency waterfall.  One
@@ -127,8 +148,9 @@ bool MdnController::tick() {
   // samples exist to be analysed), citing the first overlapping
   // emission; detections below cite it via cause2 so explain() shows
   // emitted -> ingested -> detected.
+  obs::Journal& journal = obs::Journal::global();
   obs::CauseId ingest_id = 0;
-  if (journal.enabled() && ntags > 0) {
+  if (journal.enabled() && ntags_ > 0) {
     obs::JournalRecord rec;
     rec.kind = obs::JournalKind::kBlockIngested;
     rec.sim_ns = sim_now;
@@ -139,20 +161,11 @@ bool MdnController::tick() {
     ingest_id = journal.append(rec);
   }
 
-  // Stage 2: windowed FFT + peak picking (also feeds "dsp/fft/wall_ns").
-  // The tones vector is a reused member, so steady-state ticks detect
-  // with zero heap allocation.
-  std::vector<DetectedTone>& tones = tones_scratch_;
-  obs::BlockSignalStats stats;
+  detect_.span(sim_now, detect_reading_);
   obs::MicSignalEstimator* est = nullptr;
-  {
-    const auto timed = detect_.scope(sim_now);
-    detector_.detect_into(block.samples(), tones,
-                          config_.health != nullptr ? &stats : nullptr);
-  }
   if (config_.health != nullptr) {
     est = &config_.health->estimator(config_.sink_mic);
-    est->begin_block(now_s, stats);
+    est->begin_block(now_s, stats_);
   }
 
   // Stage 3: match detected peaks against the watch list.  Onsets are
@@ -161,8 +174,7 @@ bool MdnController::tick() {
   {
     const auto timed = match_.scope(sim_now);
     matcher_.match(
-        tones, std::span<const audio::EmissionTag>(tag_scratch_.data(), ntags),
-        active_, est,
+        tones_scratch_, tags, active_, est,
         [&](std::size_t wi, double hz, double amplitude, obs::CauseId cause) {
           ToneEvent event{start_s, hz, amplitude};
           if (journal.enabled()) {
@@ -194,7 +206,6 @@ bool MdnController::tick() {
     // evaluation step, so alerts surface at the block that tripped them.
     config_.health->poll();
   }
-  return running_;
 }
 
 }  // namespace mdn::core

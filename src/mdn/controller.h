@@ -6,6 +6,13 @@
 // owns a microphone on the acoustic channel, wakes up every `hop_s`
 // seconds of simulated time, records the last hop, runs the tone detector
 // and dispatches onset events to registered handlers.
+//
+// Each tick is capture() then publish().  capture() records the block,
+// collects its emission tags and detects; it touches only this
+// controller's microphone and scratch, its const detector and its const
+// channel, so controllers may capture side by side (core::Fleet's rooms
+// do, inside one hop).  publish() does everything else, in order, on the
+// thread that owns the event loop.
 #pragma once
 
 #include <array>
@@ -69,14 +76,33 @@ class MdnController {
       std::function<void(double start_s, std::span<const double> samples)>;
   void observe_blocks(BlockObserver observer);
 
-  /// Begins periodic listening at the configured hop.  Listening stops
-  /// when stop() is called or the event loop drains; a start() before
-  /// the stopped series fires again resumes that series on its phase.
-  /// Throws std::logic_error when an inline controller's health engine
-  /// has no estimator for sink_mic.
-  void start();
+  /// Who clocks the hops of a running controller.
+  enum class Clock {
+    kOwn,       ///< start() schedules the controller's periodic tick
+    kExternal,  ///< the caller's hop calls capture() then publish()
+  };
+
+  /// Begins listening at the configured hop.  Listening stops when
+  /// stop() is called or the event loop drains; with Clock::kOwn, a
+  /// start() before the stopped series fires again resumes that series
+  /// on its phase.  Throws std::logic_error when an inline controller's
+  /// health engine has no estimator for sink_mic.
+  void start(Clock clock = Clock::kOwn);
   void stop() noexcept { running_ = false; }
   bool running() const noexcept { return running_; }
+
+  /// The first half of a tick: records the hop ending at `sim_now` off
+  /// the channel, collects the tags of the emissions it overlaps (journal
+  /// on) and, inline, detects its tones.  It writes only this
+  /// controller's microphone and scratch and reads its channel and
+  /// detector, so other controllers may capture() concurrently while
+  /// nothing else runs.  Its spans wait for publish(), which must follow
+  /// on the event loop's thread.
+  void capture(net::SimTime sim_now);
+  /// The second half: counts the block, runs the block observers, hands
+  /// the block to the sink or journals, matches and dispatches its
+  /// onsets, and feeds the health engine.
+  void publish();
 
   const ToneDetector& detector() const noexcept { return detector_; }
   const Config& config() const noexcept { return config_; }
@@ -91,7 +117,7 @@ class MdnController {
   std::uint64_t blocks_processed() const noexcept { return blocks_; }
 
  private:
-  bool tick();
+  bool tick();  // capture(now) then publish(); false ends the series
 
   net::EventLoop& loop_;
   audio::AcousticChannel& channel_;
@@ -102,7 +128,15 @@ class MdnController {
   std::vector<Handler> handlers_;  // one per watch, in watch order
   std::vector<char> active_;       // watch present in the previous block
   std::vector<BlockObserver> block_observers_;
-  std::vector<DetectedTone> tones_scratch_;  // reused by tick()
+  // What capture() hands publish(): the hop's end, its block, the tones
+  // detected in it (a reused vector, so steady-state detection allocates
+  // nothing), their signal stats and the two stage readings.
+  net::SimTime captured_at_ = 0;
+  audio::Waveform block_;
+  std::vector<DetectedTone> tones_scratch_;
+  obs::BlockSignalStats stats_;
+  obs::Stage::Reading record_reading_;
+  obs::Stage::Reading detect_reading_;
   // Ground-truth emission tags overlapping the current block, collected
   // only while the journal is enabled.  Fixed-size so the hot loop stays
   // allocation-free; config_.sink_mic doubles as the journal mic id for
@@ -110,13 +144,15 @@ class MdnController {
   // switches keying two tone families can overlap one 50 ms block (the
   // rt path clamps to its own AudioBlock tag capacity separately).
   std::array<audio::EmissionTag, 64> tag_scratch_{};
+  std::size_t ntags_ = 0;
   std::vector<ToneEvent> log_;
   audio::Waveform recording_;
   bool running_ = false;
   bool series_pending_ = false;  // a tick series is scheduled
   std::uint64_t blocks_ = 0;
   // Registry instruments under "mdn/controller/..." plus the per-stage
-  // wall timers behind §3's latency claims; spans go to the loop tracer.
+  // wall timers behind §3's latency claims; spans go to the loop tracer
+  // (record and detect from publish(), off their capture() readings).
   obs::Counter* blocks_counter_;
   obs::Counter* onsets_counter_;
   obs::Stage record_;

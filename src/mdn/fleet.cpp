@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <string>
+#include <thread>
+
+#include "obs/metrics.h"
 
 namespace mdn::core {
 
@@ -53,25 +56,58 @@ Fleet::Fleet(net::EventLoop& loop, const FleetConfig& config)
           *room.controller, *room.plan, unit.hh_device, config_.hh);
       unit.ps_detector = std::make_unique<PortScanDetector>(
           *room.controller, *room.plan, unit.ps_device, config_.ps);
-      unit.hh_packets.assign(config_.hh_bins, 0);
       room.switches.push_back(std::move(unit));
-      // Workload-side ground truth: count packets per heavy-hitter bin
-      // at the same hook level the reporter keys tones from.  Registered
-      // after the unit reaches its final slot so the captured addresses
-      // survive (vector is reserved; elements never move again).
-      SwitchUnit& placed = room.switches.back();
-      auto* reporter = placed.hh_reporter.get();
-      auto* counts = &placed.hh_packets;
-      placed.sw->add_packet_hook(
-          [reporter, counts](const net::Packet& pkt, std::size_t) {
-            ++(*counts)[reporter->bin_for(pkt.flow)];
-          });
     }
   }
 }
 
 void Fleet::start() {
-  for (Room& room : rooms_) room.controller->start();
+  if (rooms_.empty()) return;
+  for (Room& room : rooms_) {
+    room.controller->start(MdnController::Clock::kExternal);
+  }
+  if (pool_ == nullptr) {
+    const std::size_t threads = std::min<std::size_t>(
+        rooms_.size(), std::max(1u, std::thread::hardware_concurrency()));
+    pool_ = std::make_unique<common::ForkJoinPool>(threads, [this] {
+      for (const Room& room : rooms_) room.controller->detector().warm_up();
+    });
+    obs::Registry::global()
+        .gauge("mdn/fleet/capture_threads")
+        .set(static_cast<std::int64_t>(pool_->size()));
+  }
+  // Like a controller's own series, one not yet fired since the rooms
+  // stopped resumes on its phase instead of doubling the hops.
+  if (series_pending_) return;
+  series_pending_ = true;
+  const net::SimTime period =
+      net::from_seconds(rooms_.front().controller->config().hop_s);
+  loop_.schedule_periodic(period, period, [this] {
+    series_pending_ = hop();
+    return series_pending_;
+  });
+}
+
+bool Fleet::hop() {
+  listening_.clear();
+  for (Room& room : rooms_) {
+    if (room.controller->running()) {
+      listening_.push_back(room.controller.get());
+    }
+  }
+  // Fork and join inside this one callback: the rooms capture side by
+  // side, then publish in room order, so the loop still owns sim time
+  // and every output keeps its serial order.
+  const net::SimTime now = loop_.now();
+  pool_->run(listening_.size(),
+             [this, now](std::size_t i) { listening_[i]->capture(now); });
+  for (MdnController* controller : listening_) {
+    // A room an earlier room's handler stopped this hop is not heard.
+    if (controller->running()) controller->publish();
+  }
+  return std::any_of(rooms_.begin(), rooms_.end(), [](const Room& room) {
+    return room.controller->running();
+  });
 }
 
 void Fleet::stop_at(net::SimTime t) {

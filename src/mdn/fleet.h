@@ -19,6 +19,13 @@
 // (TrafficGen targets), run the per-packet tone hooks and die on table
 // miss — no downstream link events, so fleet packet load scales with the
 // workload engine's batch events rather than per-hop scheduling.
+//
+// The rooms listen on one hop series owned by the fleet.  Each hop runs
+// every listening room's MdnController::capture() on the fleet's
+// fork-join pool — rooms are separate air gaps, so their blocks record
+// and detect side by side — joins, then runs publish() for the rooms in
+// order on the loop thread.  Every journal record, onset and alert keeps
+// the value and order of a serial run.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +33,7 @@
 #include <vector>
 
 #include "audio/channel.h"
+#include "common/fork_join.h"
 #include "mdn/controller.h"
 #include "mdn/frequency_plan.h"
 #include "mdn/heavy_hitter.h"
@@ -67,9 +75,6 @@ class Fleet {
     std::unique_ptr<PortScanDetector> ps_detector;
     DeviceId hh_device = 0;
     DeviceId ps_device = 0;
-    /// Packets per heavy-hitter bin, counted at the switch hook — the
-    /// workload-side ground truth alert metrics compare against.
-    std::vector<std::uint64_t> hh_packets;
   };
 
   struct Room {
@@ -81,9 +86,14 @@ class Fleet {
 
   Fleet(net::EventLoop& loop, const FleetConfig& config);
 
-  /// Starts every room's listening controller.
+  /// Starts every room's listening controller on the fleet's hop series.
+  /// The first call also starts the capture pool: min(rooms, hardware
+  /// threads) threads counting the loop thread, each with its detector
+  /// scratch warmed, published as the gauge "mdn/fleet/capture_threads".
+  /// A second call runs no second series.
   void start();
-  /// Schedules every controller to stop at `t` (so the loop can drain).
+  /// Schedules every controller to stop at `t`, which ends the hop series
+  /// (so the loop can drain).
   void stop_at(net::SimTime t);
 
   std::size_t room_count() const noexcept { return rooms_.size(); }
@@ -112,12 +122,21 @@ class Fleet {
   const FleetConfig& config() const noexcept { return config_; }
 
  private:
+  /// One hop: capture the listening rooms in parallel, then publish them
+  /// in room order.  False (no room listening) ends the series.
+  bool hop();
+
   net::EventLoop& loop_;
   FleetConfig config_;
   /// Every bridge's tones: each distinct tone is synthesised once per
   /// fleet.  Declared before rooms_ so it outlives the bridges.
   mp::ToneBank tone_bank_;
   std::vector<Room> rooms_;
+  /// Rooms listening this hop, in room order (reused across hops).
+  std::vector<MdnController*> listening_;
+  bool series_pending_ = false;  // the hop series is scheduled
+  /// Declared after rooms_ so its workers stop before the rooms go.
+  std::unique_ptr<common::ForkJoinPool> pool_;
 };
 
 }  // namespace mdn::core

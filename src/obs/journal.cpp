@@ -38,11 +38,9 @@ Journal& Journal::global() {
 void Journal::enable(std::size_t capacity) {
   common::MutexLock lock(mu_);
   if (capacity == 0) capacity = 1;
-  if (slots_.size() != capacity) {
-    slots_.assign(capacity, JournalRecord{});
-  } else {
-    std::fill(slots_.begin(), slots_.end(), JournalRecord{});
-  }
+  // At an unchanged capacity the old records stay in their slots, but
+  // restarting ids makes them unreachable, as in clear().
+  if (slots_.size() != capacity) slots_.assign(capacity, JournalRecord{});
   next_id_ = 1;
   // mo: flipped at quiescent setup points, never mid-append
   enabled_.store(true, std::memory_order_relaxed);
@@ -55,7 +53,8 @@ void Journal::disable() noexcept {
 
 void Journal::clear() noexcept {
   common::MutexLock lock(mu_);
-  std::fill(slots_.begin(), slots_.end(), JournalRecord{});
+  // Every reader stops below next_id_, and each id below it names a slot
+  // written since this reset, so the old records need no wiping.
   next_id_ = 1;
 }
 

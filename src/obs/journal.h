@@ -113,7 +113,7 @@ class Journal {
   }
 
   /// Drops every record and restarts ids at 1; keeps capacity and the
-  /// enabled flag.
+  /// enabled flag.  Constant time: the old records become unreachable.
   void clear() noexcept;
 
   /// Mints a record: assigns the next id, stores a copy in the ring

@@ -56,6 +56,8 @@ class Tracer {
 
   std::int64_t wall_now() const { return clock_(); }
   /// Tests inject a deterministic clock to make traces golden-testable.
+  /// Stage::span() is the exception: its span keeps the Reading's
+  /// wall_now_ns() times, taken where this clock may not be called.
   void set_wall_clock(WallClock clock) noexcept { clock_ = clock; }
 
   const std::vector<TraceEvent>& events() const noexcept { return events_; }
@@ -80,9 +82,17 @@ class Tracer {
 /// when there is nothing to feed, and while tracing also records one span
 /// from the same reading.  Spans allocate, so MDN_REALTIME code uses
 /// realtime_scope(): histogram only, on wall_now_ns(), so the realtime
-/// lint proves no audio path reaches the span store.
+/// lint proves no audio path reaches the span store.  A thread that must
+/// not touch the tracer (a fork-join worker) passes realtime_scope() a
+/// Reading, and the tracer's thread writes it later with span().
 class Stage {
  public:
+  /// One scope's wall start and duration, on wall_now_ns().
+  struct Reading {
+    std::int64_t start_ns = 0;
+    std::int64_t dur_ns = 0;
+  };
+
   Stage() = default;
   explicit Stage(Histogram* hist, Tracer* tracer = nullptr,
                  std::string_view name = {}, std::uint32_t track = 0) noexcept
@@ -128,25 +138,41 @@ class Stage {
     RealtimeScope(const RealtimeScope&) = delete;
     RealtimeScope& operator=(const RealtimeScope&) = delete;
     ~RealtimeScope() {
-      if (hist_ != nullptr) {
-        hist_->record(static_cast<double>(wall_now_ns() - start_));
-      }
+      if (hist_ == nullptr && out_ == nullptr) return;
+      const std::int64_t elapsed = wall_now_ns() - start_;
+      if (hist_ != nullptr) hist_->record(static_cast<double>(elapsed));
+      if (out_ != nullptr) *out_ = {start_, elapsed};
     }
 
    private:
     friend class Stage;
-    explicit RealtimeScope(Histogram* hist) noexcept
-        : hist_(hist), start_(hist ? wall_now_ns() : 0) {}
+    RealtimeScope(Histogram* hist, Reading* out) noexcept
+        : hist_(hist),
+          out_(out),
+          start_(hist != nullptr || out != nullptr ? wall_now_ns() : 0) {}
 
     Histogram* hist_;
+    Reading* out_;  ///< null: no reading kept
     std::int64_t start_;
   };
 
   [[nodiscard]] Scope scope(std::int64_t sim_ns = 0) const noexcept {
     return Scope(*this, sim_ns);
   }
-  [[nodiscard]] RealtimeScope realtime_scope() const noexcept {
-    return RealtimeScope(hist_);
+  /// Histogram only; a non-null `out` also keeps the reading for span().
+  [[nodiscard]] RealtimeScope realtime_scope(
+      Reading* out = nullptr) const noexcept {
+    return RealtimeScope(hist_, out);
+  }
+
+  /// Records `reading` as this stage's span at `sim_ns` while the tracer
+  /// is enabled, on the reading's wall_now_ns() times even when the
+  /// tracer has an injected clock.  Call it on the tracer's thread.
+  void span(std::int64_t sim_ns, const Reading& reading) const {
+    if (tracer_ != nullptr && tracer_->enabled()) {
+      tracer_->complete(name_, track_, sim_ns, reading.start_ns,
+                        reading.dur_ns);
+    }
   }
 
   std::uint32_t track() const noexcept { return track_; }

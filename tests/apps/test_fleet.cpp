@@ -6,9 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include "net/traffic_gen.h"
 #include "obs/journal.h"
@@ -58,13 +61,18 @@ struct FleetRun {
   /// a frequency belongs to one reporter, so a pair fixes the whole
   /// (frequency, duration, intensity) triple.
   std::size_t distinct_tones = 0;
+  std::string journal;  ///< canonical journal.jsonl
+  std::vector<std::vector<ToneEvent>> logs;       ///< per room
+  std::vector<std::uint64_t> blocks;              ///< per room
+  /// Traced runs: (record, detect) span counts per hop's sim time.
+  std::map<std::int64_t, std::pair<int, int>> spans;
 };
 
 std::uint64_t counter_value(const char* name) {
   return obs::Registry::global().counter(name).value();
 }
 
-FleetRun run_small_fleet(double skew) {
+FleetRun run_small_fleet(double skew, bool traced = false) {
   obs::Journal::global().enable(1u << 16);
   obs::Journal::global().clear();
   const std::uint64_t played0 = counter_value("mp/bridge/tones_played");
@@ -72,6 +80,7 @@ FleetRun run_small_fleet(double skew) {
       counter_value("mp/bridge/tones_synthesised");
 
   net::EventLoop loop;
+  if (traced) loop.tracer().enable();
   Fleet fleet(loop, small_fleet());
 
   net::TrafficGenConfig tcfg;
@@ -116,7 +125,31 @@ FleetRun run_small_fleet(double skew) {
     }
   }
   r.distinct_tones = tones.size();
+  r.journal = obs::to_journal_jsonl(obs::Journal::global());
+  for (std::size_t room = 0; room < fleet.room_count(); ++room) {
+    r.logs.push_back(fleet.room(room).controller->event_log());
+    r.blocks.push_back(fleet.room(room).controller->blocks_processed());
+  }
+  const obs::Tracer& tracer = loop.tracer();
+  for (const obs::TraceEvent& ev : tracer.events()) {
+    if (ev.phase != 'X' ||
+        tracer.track_names()[ev.track] != "mdn/controller") {
+      continue;
+    }
+    if (ev.name == "controller/record") ++r.spans[ev.sim_ns].first;
+    if (ev.name == "controller/detect") ++r.spans[ev.sim_ns].second;
+  }
   return r;
+}
+
+// FNV-1a over a string's bytes: pins long artifacts by digest.
+std::uint64_t fnv1a(const std::string& text) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const unsigned char c : text) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
 }
 
 TEST(Fleet, HearsTheWorkloadInEveryRoom) {
@@ -150,6 +183,68 @@ TEST(Fleet, ReplaysByteIdentically) {
   EXPECT_EQ(a.packets, b.packets);
   EXPECT_EQ(a.onsets, b.onsets);
   EXPECT_EQ(a.board, b.board) << "scoreboard render must be byte-identical";
+}
+
+TEST(Fleet, MatchesSerialParent) {
+  // Taken from the fleet whose rooms each ticked on their own series,
+  // one after another: the pooled hop must reproduce them exactly.
+  const FleetRun r = run_small_fleet(1.26);
+  EXPECT_EQ(fnv1a(r.journal), 0xe94cebd923208cb4ull)
+      << "canonical journal.jsonl changed";
+  EXPECT_EQ(std::count(r.journal.begin(), r.journal.end(), '\n'), 408);
+  EXPECT_EQ(r.onsets, 109u);
+  EXPECT_EQ(r.board.size(), 5974u);
+  EXPECT_EQ(fnv1a(r.board), 0x1788652051a18846ull)
+      << "scoreboard render changed:\n" << r.board;
+}
+
+TEST(Fleet, TracedRunMatchesUntraced) {
+  const FleetRun plain = run_small_fleet(1.26);
+  const FleetRun traced = run_small_fleet(1.26, true);
+  ASSERT_EQ(traced.logs.size(), plain.logs.size());
+  for (std::size_t room = 0; room < plain.logs.size(); ++room) {
+    const auto& a = plain.logs[room];
+    const auto& b = traced.logs[room];
+    ASSERT_EQ(a.size(), b.size()) << "room " << room;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].time_s, b[i].time_s) << room << "/" << i;
+      EXPECT_EQ(a[i].frequency_hz, b[i].frequency_hz) << room << "/" << i;
+      EXPECT_EQ(a[i].amplitude, b[i].amplitude) << room << "/" << i;
+    }
+  }
+  EXPECT_EQ(traced.journal, plain.journal);
+  // Spans come from the loop thread, off the pool's readings: one record
+  // and one detect span per room per hop.
+  EXPECT_TRUE(plain.spans.empty());
+  const std::uint64_t hops = traced.blocks.front();
+  EXPECT_GT(hops, 0u);
+  for (const std::uint64_t blocks : traced.blocks) EXPECT_EQ(blocks, hops);
+  EXPECT_EQ(traced.spans.size(), hops);
+  const int rooms = static_cast<int>(traced.blocks.size());
+  for (const auto& [sim_ns, counts] : traced.spans) {
+    EXPECT_EQ(counts.first, rooms) << "record spans at " << sim_ns;
+    EXPECT_EQ(counts.second, rooms) << "detect spans at " << sim_ns;
+  }
+}
+
+TEST(Fleet, StartTwiceRunsOneSeries) {
+  net::EventLoop loop;
+  Fleet fleet(loop, small_fleet());
+  fleet.start();
+  fleet.start();
+  loop.run_until(net::from_seconds(0.12));
+  fleet.start();  // while listening: still one series
+  fleet.stop_at(net::from_seconds(1.0));
+  loop.run();
+  for (std::size_t room = 0; room < fleet.room_count(); ++room) {
+    EXPECT_FALSE(fleet.room(room).controller->running());
+    EXPECT_EQ(fleet.room(room).controller->blocks_processed(), 19u)
+        << "one block per 50 ms hop in room " << room;
+  }
+  const std::int64_t threads = std::min<std::int64_t>(
+      2, std::max(1u, std::thread::hardware_concurrency()));
+  EXPECT_EQ(obs::Registry::global().gauge("mdn/fleet/capture_threads").value(),
+            threads);
 }
 
 TEST(Fleet, SynthesisesEachDistinctToneOnce) {

@@ -2,7 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <string>
+#include <thread>
+
 #include "audio/synth.h"
+#include "obs/journal.h"
+#include "obs/trace.h"
 
 namespace mdn::core {
 namespace {
@@ -185,6 +192,144 @@ TEST_F(ControllerFixture, StartThrowsWhenHealthHasNoEstimatorForTheMic) {
   loop.schedule_at(net::from_seconds(0.3), [&] { ctl.stop(); });
   loop.run();
   EXPECT_EQ(health.estimator(0).blocks(), ctl.blocks_processed());
+}
+
+// A frozen wall clock no steady clock reads: steady time is never
+// negative.
+std::int64_t frozen_clock() { return -7; }
+
+// The loop tracer's injected clock times the spans publish() measures
+// itself; record and detect, measured in capture() (which may run on a
+// fleet pool thread), keep their wall_now_ns() readings.
+TEST_F(ControllerFixture, InjectedClockTimesPublishSpansOnly) {
+  loop.tracer().enable();
+  loop.tracer().set_wall_clock(&frozen_clock);
+  MdnController ctl(loop, channel, config());
+  ctl.watch(700.0, nullptr);
+  ctl.start();
+  channel.emit(source, tone(700.0, 0.1, 0.08), 0.2);
+  loop.schedule_at(net::from_seconds(0.5), [&] { ctl.stop(); });
+  loop.run();
+
+  std::map<std::string, std::uint64_t> spans;
+  for (const obs::TraceEvent& ev : loop.tracer().events()) {
+    if (ev.phase != 'X' || ev.name.rfind("controller/", 0) != 0) continue;
+    ++spans[ev.name];
+    if (ev.name == "controller/match") {
+      EXPECT_EQ(ev.wall_ns, -7);
+      EXPECT_EQ(ev.wall_dur_ns, 0);
+    } else {
+      EXPECT_GE(ev.wall_ns, 0) << ev.name;
+      EXPECT_GE(ev.wall_dur_ns, 0) << ev.name;
+    }
+  }
+  EXPECT_GT(ctl.blocks_processed(), 0u);
+  for (const char* name :
+       {"controller/record", "controller/detect", "controller/match"}) {
+    EXPECT_EQ(spans[name], ctl.blocks_processed()) << name;
+  }
+}
+
+// Two rooms, each a channel and a controller, hearing tagged tones with
+// the journal on.  `split` drives both controllers from one hop that
+// captures them on two threads, joins, then publishes them in order —
+// the shape core::Fleet gives its rooms — instead of their own ticks.
+struct TwoRoomRun {
+  std::vector<ToneEvent> log[2];
+  std::uint64_t blocks[2] = {0, 0};
+  std::string journal;
+};
+
+TwoRoomRun run_two_rooms(bool split) {
+  obs::Journal& journal = obs::Journal::global();
+  journal.enable(1u << 12);
+  journal.clear();
+  net::EventLoop loop;
+  audio::AcousticChannel room0(kSampleRate), room1(kSampleRate);
+  audio::AcousticChannel* rooms[2] = {&room0, &room1};
+  MdnController::Config cfg;
+  cfg.detector.sample_rate = kSampleRate;
+  cfg.sink_mic = 0;
+  MdnController ctl0(loop, room0, cfg);
+  cfg.sink_mic = 1;
+  MdnController ctl1(loop, room1, cfg);
+  MdnController* ctls[2] = {&ctl0, &ctl1};
+  for (MdnController* ctl : ctls) {
+    ctl->watch_all(std::vector{700.0, 900.0}, nullptr);
+  }
+
+  // Each room plays three tagged (frequency, start) tones of its own;
+  // room 1's first starts on a block edge.
+  const double plays[2][3][2] = {
+      {{700.0, 0.12}, {900.0, 0.31}, {700.0, 0.62}},
+      {{900.0, 0.05}, {700.0, 0.33}, {900.0, 0.71}}};
+  for (std::uint32_t r = 0; r < 2; ++r) {
+    const audio::SourceId src = rooms[r]->add_source("speaker", 1.0);
+    for (const auto& play : plays[r]) {
+      obs::JournalRecord rec;
+      rec.kind = obs::JournalKind::kToneEmitted;
+      rec.sim_ns = net::from_seconds(play[1]);
+      rec.frequency_hz = play[0];
+      rec.mic = r;
+      const obs::CauseId id = journal.append(rec);
+      rooms[r]->emit(src, tone(play[0], 0.1, 0.08), play[1], {id, play[0]});
+    }
+  }
+
+  if (split) {
+    for (MdnController* ctl : ctls) {
+      ctl->start(MdnController::Clock::kExternal);
+    }
+    const net::SimTime hop = net::from_seconds(cfg.hop_s);
+    loop.schedule_periodic(hop, hop, [&] {
+      if (!ctl0.running()) return false;
+      const net::SimTime now = loop.now();
+      std::thread t0([&] { ctl0.capture(now); });
+      std::thread t1([&] { ctl1.capture(now); });
+      t0.join();
+      t1.join();
+      ctl0.publish();
+      ctl1.publish();
+      return true;
+    });
+  } else {
+    for (MdnController* ctl : ctls) ctl->start();
+  }
+  loop.schedule_at(net::from_seconds(1.0), [&] {
+    for (MdnController* ctl : ctls) ctl->stop();
+  });
+  loop.run();
+
+  TwoRoomRun run;
+  for (int r = 0; r < 2; ++r) {
+    run.log[r] = ctls[r]->event_log();
+    run.blocks[r] = ctls[r]->blocks_processed();
+  }
+  run.journal = obs::to_journal_jsonl(journal);
+  journal.disable();
+  return run;
+}
+
+TEST(ControllerSplit, CaptureOnThreadsThenPublishMatchesOwnTicks) {
+  const TwoRoomRun own = run_two_rooms(false);
+  const TwoRoomRun split = run_two_rooms(true);
+  for (int r = 0; r < 2; ++r) {
+    SCOPED_TRACE("room " + std::to_string(r));
+    EXPECT_EQ(own.blocks[r], 19u);
+    EXPECT_EQ(split.blocks[r], own.blocks[r]);
+    ASSERT_EQ(own.log[r].size(), 3u) << "each room hears its three tones";
+    ASSERT_EQ(split.log[r].size(), own.log[r].size());
+    for (std::size_t i = 0; i < own.log[r].size(); ++i) {
+      EXPECT_EQ(split.log[r][i].time_s, own.log[r][i].time_s) << i;
+      EXPECT_EQ(split.log[r][i].frequency_hz, own.log[r][i].frequency_hz) << i;
+      EXPECT_EQ(split.log[r][i].amplitude, own.log[r][i].amplitude) << i;
+      EXPECT_EQ(split.log[r][i].cause, own.log[r][i].cause) << i;
+      EXPECT_NE(own.log[r][i].cause, 0u) << "detections are journaled";
+    }
+  }
+  EXPECT_EQ(split.journal, own.journal);
+  EXPECT_NE(own.journal.find("\"kind\":\"block_ingested\""),
+            std::string::npos);
 }
 
 }  // namespace

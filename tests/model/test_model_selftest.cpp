@@ -187,6 +187,42 @@ TEST(ModelSelftest, DetectsDeadlock) {
       << result.first_failure;
 }
 
+// check::Atomic::wait parks until a notify: a waker that stores then
+// notifies always frees the waiter; one that forgets the notify leaves
+// it parked on some schedule, which the checker reports as a deadlock
+// (the lost wake-up) instead of hanging.
+void wake_once(bool notify) {
+  check::Atomic<int> flag{0};
+  check::Cell<int> payload;
+  check::thread waker([&] {
+    payload.write(7);
+    flag.store(1, std::memory_order_release);
+    if (notify) flag.notify_one();
+  });
+  flag.wait(0, std::memory_order_acquire);
+  MDN_CHECK(payload.read() == 7);
+  waker.join();
+}
+
+TEST(ModelSelftest, WaitWakesOnNotify) {
+  check::Options options;
+  const check::Result result =
+      check::explore(options, [] { wake_once(true); });
+  EXPECT_TRUE(result.ok) << result.first_failure;
+  EXPECT_TRUE(result.complete);
+  EXPECT_GE(result.schedules, 2) << "the waiter parks on some schedules";
+}
+
+TEST(ModelSelftest, WaitWithoutNotifyIsALostWakeUp) {
+  check::Options options;
+  const auto body = [] { wake_once(false); };
+  const check::Result result = check::explore(options, body);
+  ASSERT_FALSE(result.ok);
+  EXPECT_NE(result.first_failure.find("deadlock"), std::string::npos)
+      << result.first_failure;
+  model::expect_caught_and_replayable(options, result, body);
+}
+
 TEST(ModelSelftest, MdnCheckFailureCarriesATimeline) {
   check::Options options;
   const check::Result result = check::explore(options, [] {

@@ -250,5 +250,74 @@ TEST(JournalTest, ClearRestartsIdsKeepsEnabled) {
   EXPECT_EQ(journal.append(make_record(JournalKind::kToneEmitted, 2)), 1u);
 }
 
+// Appends `n` records; the i-th sits at sim time base + i.
+void fill(Journal& journal, std::size_t n, std::int64_t base) {
+  for (std::size_t i = 0; i < n; ++i) {
+    journal.append(make_record(JournalKind::kToneEmitted,
+                               base + static_cast<std::int64_t>(i)));
+  }
+}
+
+// `reused` must answer every query as `fresh` does, for every id either
+// journal has ever minted (`max_id`).
+void expect_same_view(const Journal& reused, const Journal& fresh,
+                      CauseId max_id) {
+  EXPECT_EQ(reused.size(), fresh.size());
+  EXPECT_EQ(reused.appended(), fresh.appended());
+  EXPECT_EQ(reused.evicted(), fresh.evicted());
+  EXPECT_EQ(reused.capacity(), fresh.capacity());
+  const auto a = reused.snapshot();
+  const auto b = fresh.snapshot();
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].id, b[i].id) << i;
+    EXPECT_EQ(a[i].sim_ns, b[i].sim_ns) << i;
+  }
+  for (CauseId id = 0; id <= max_id; ++id) {
+    JournalRecord x, y;
+    const bool found = reused.find(id, &x);
+    ASSERT_EQ(found, fresh.find(id, &y)) << "id " << id;
+    if (found) {
+      EXPECT_EQ(x.sim_ns, y.sim_ns) << "id " << id;
+    }
+  }
+}
+
+// Records minted before the reset sit at sim time >= 1000, after it
+// below 100, so any stale record a query returns shows in its sim_ns.
+void expect_reset_leaves_fresh_journal(std::size_t before,
+                                       void (*reset)(Journal&)) {
+  for (const std::size_t after : {std::size_t{0}, std::size_t{3},
+                                  std::size_t{11}}) {
+    Journal reused;
+    reused.enable(8);
+    fill(reused, before, 1000);
+    reset(reused);
+    EXPECT_TRUE(reused.enabled());
+    Journal fresh;
+    fresh.enable(8);
+    fill(reused, after, 0);
+    fill(fresh, after, 0);
+    SCOPED_TRACE("records after the reset: " + std::to_string(after));
+    expect_same_view(reused, fresh, before + after);
+  }
+}
+
+void clear_journal(Journal& journal) { journal.clear(); }
+void re_enable_journal(Journal& journal) { journal.enable(8); }
+
+TEST(JournalTest, ClearOfPartFilledRingLeavesFreshJournal) {
+  expect_reset_leaves_fresh_journal(5, &clear_journal);
+}
+
+TEST(JournalTest, ClearOfWrappedRingLeavesFreshJournal) {
+  expect_reset_leaves_fresh_journal(19, &clear_journal);
+}
+
+TEST(JournalTest, ReEnableAtSameCapacityLeavesFreshJournal) {
+  expect_reset_leaves_fresh_journal(5, &re_enable_journal);
+  expect_reset_leaves_fresh_journal(19, &re_enable_journal);
+}
+
 }  // namespace
 }  // namespace mdn::obs
