@@ -1,9 +1,9 @@
 #include "dsp/fft_plan.h"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
-#include <utility>
 
 #include "dsp/simd.h"
 
@@ -11,13 +11,6 @@ namespace mdn::dsp {
 namespace {
 
 constexpr double kPi = std::numbers::pi;
-
-// Stages with fewer butterflies than this run inline scalar code instead
-// of an indirect kernel call: on the early stages (len 2..8) the call
-// itself would cost more than the arithmetic.  Harmless for the
-// SIMD-vs-scalar contract — the inline body is the scalar reference
-// arithmetic, and every vector kernel matches it bit-for-bit anyway.
-constexpr std::size_t kKernelMinHalf = 8;
 
 // Bit-reversal index table for an n-point (power-of-two) transform.
 std::vector<std::uint32_t> make_bitrev(std::size_t n) {
@@ -38,9 +31,9 @@ std::vector<std::uint32_t> make_bitrev(std::size_t n) {
 
 // Stage-major twiddle table, n - 1 entries in total: the len/2 factors
 // exp(sign * 2*pi*i*k/len) of stage `len` are stored contiguously, in
-// stage order (len = 2, 4, ..., n).  The butterfly loop then walks each
-// stage's slice sequentially — unit-stride loads instead of a strided
-// gather through one shared table.
+// stage order (len = 2, 4, ..., n).  The stage kernels then read each
+// stage's slice at unit stride instead of gathering through one shared
+// table.
 std::vector<Complex> make_twiddles(std::size_t n, bool inverse) {
   const double sign = inverse ? 2.0 : -2.0;
   std::vector<Complex> w;
@@ -72,14 +65,72 @@ void cmul(const Complex* a, const Complex* b, Complex* out, std::size_t n) {
   }
 }
 
+inline const double* flat(const Complex* p) noexcept {
+  return reinterpret_cast<const double*>(p);
+}
+
 }  // namespace
+
+Radix2Schedule::Radix2Schedule(std::size_t size, bool inverse)
+    : n_(size), twiddles_(make_twiddles(size, inverse)) {
+  // Output row j (8 values at 8j) starts from the bit reversal of 8j,
+  // which is the (log2 n - 3)-bit reversal of j.
+  if (n_ >= 8) rows_ = make_bitrev(n_ / 8);
+}
+
+void Radix2Schedule::transform_pairs(const double* src,
+                                     Complex* out) const noexcept {
+  const simd::Kernels& kern = simd::active_kernels();
+  const Complex* tw = twiddles_.data();
+  const std::size_t n = n_;
+  if (n < 8) {
+    // Two or four points: reverse the index bits while copying (through
+    // a local, so `src` may be `out`), then run every stage.
+    Complex z[4];
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t j = simd::kBitrev3[i] * n / 8;
+      z[i] = Complex{src[2 * j], src[2 * j + 1]};
+    }
+    std::copy_n(z, n, out);
+    kern.fft_stages(out, tw, n, 2);
+    return;
+  }
+  const std::size_t stride = n / 8;
+  if (src != flat(out)) {
+    kern.fft_head(src, rows_.data(), stride, tw, out, 8, stride);
+  } else if (n < 64) {
+    double copy[64];
+    std::copy_n(src, 2 * n, copy);
+    kern.fft_head(copy, rows_.data(), stride, tw, out, 8, stride);
+  } else {
+    // In place, by tiles of 8x8 values: tile c is the eight runs
+    // a * stride + 8c + [0, 8), a in [0, 8).  Output tile c reads only
+    // input tile rows_[c] / 8 (its run a gathers column kBitrev3[a] of
+    // that tile), so each pair of tiles is copied out before either is
+    // written.
+    double tiles[256];
+    for (std::size_t c = 0; c < n / 64; ++c) {
+      const std::size_t partner = rows_[c] / 8;
+      if (partner < c) continue;
+      for (std::size_t a = 0; a < 8; ++a) {
+        std::copy_n(src + 2 * (a * stride + 8 * partner), 16, tiles + 16 * a);
+        std::copy_n(src + 2 * (a * stride + 8 * c), 16, tiles + 128 + 16 * a);
+      }
+      kern.fft_head(tiles, simd::kBitrev3, 8, tw, out + 8 * c, stride, 8);
+      if (partner != c) {
+        kern.fft_head(tiles + 128, simd::kBitrev3, 8, tw, out + 8 * partner,
+                      stride, 8);
+      }
+    }
+  }
+  kern.fft_stages(out, tw, n, 16);
+}
 
 FftPlan::FftPlan(std::size_t size, bool inverse)
     : n_(size), inverse_(inverse) {
   if (n_ <= 1) return;  // 0- and 1-point transforms are the identity
   if (is_power_of_two(n_)) {
-    bitrev_ = make_bitrev(n_);
-    twiddles_ = make_twiddles(n_, inverse_);
+    pow2_ = Radix2Schedule(n_, inverse_);
     return;
   }
 
@@ -96,8 +147,8 @@ FftPlan::FftPlan(std::size_t size, bool inverse)
   }
 
   m_ = next_power_of_two(2 * n_ - 1);
-  conv_forward_ = std::make_unique<FftPlan>(m_, false);
-  conv_inverse_ = std::make_unique<FftPlan>(m_, true);
+  conv_forward_ = Radix2Schedule(m_, false);
+  conv_inverse_ = Radix2Schedule(m_, true);
 
   kernel_fft_.assign(m_, Complex{0.0, 0.0});
   kernel_fft_[0] = std::conj(chirp_[0]);
@@ -105,47 +156,8 @@ FftPlan::FftPlan(std::size_t size, bool inverse)
     kernel_fft_[k] = std::conj(chirp_[k]);
     kernel_fft_[m_ - k] = kernel_fft_[k];
   }
-  conv_forward_->execute(kernel_fft_);
-}
-
-void FftPlan::execute_pow2(std::span<Complex> data) const noexcept {
-  // Permute, then iterate stages walking that stage's twiddle slice
-  // sequentially: no trig, no allocation, no accumulated recurrence
-  // error.  The butterflies spell out the complex arithmetic on doubles
-  // — table entries are always finite, so this skips the NaN fix-up
-  // branch (and its scalar recompute) that std::complex operator*
-  // carries, about half the per-butterfly instruction count.
-  const std::size_t n = n_;
-  for (std::size_t i = 1; i < n; ++i) {
-    const std::size_t j = bitrev_[i];
-    if (i < j) std::swap(data[i], data[j]);
-  }
-  const simd::Kernels& kern = simd::active_kernels();
-  const Complex* stage = twiddles_.data();
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const std::size_t half = len / 2;
-    if (half < kKernelMinHalf) {
-      for (std::size_t i = 0; i < n; i += len) {
-        Complex* a = &data[i];
-        Complex* b = a + half;
-        for (std::size_t k = 0; k < half; ++k) {
-          const double wr = stage[k].real(), wi = stage[k].imag();
-          const double br = b[k].real(), bi = b[k].imag();
-          const double vr = br * wr - bi * wi;
-          const double vi = br * wi + bi * wr;
-          const double ar = a[k].real(), ai = a[k].imag();
-          a[k] = Complex{ar + vr, ai + vi};
-          b[k] = Complex{ar - vr, ai - vi};
-        }
-      }
-    } else {
-      for (std::size_t i = 0; i < n; i += len) {
-        Complex* a = &data[i];
-        kern.butterfly_aos(a, a + half, stage, half);
-      }
-    }
-    stage += half;
-  }
+  conv_forward_.transform_pairs(flat(kernel_fft_.data()),
+                                kernel_fft_.data());
 }
 
 void FftPlan::execute(std::span<Complex> data,
@@ -155,7 +167,7 @@ void FftPlan::execute(std::span<Complex> data,
   }
   if (n_ <= 1) return;
   if (m_ == 0) {
-    execute_pow2(data);
+    pow2_.transform_pairs(flat(data.data()), data.data());
     return;
   }
 
@@ -166,9 +178,9 @@ void FftPlan::execute(std::span<Complex> data,
   std::span<Complex> a = scratch.first(m_);
   cmul(data.data(), chirp_.data(), a.data(), n_);
   for (std::size_t k = n_; k < m_; ++k) a[k] = Complex{0.0, 0.0};
-  conv_forward_->execute_pow2(a);
+  conv_forward_.transform_pairs(flat(a.data()), a.data());
   cmul(a.data(), kernel_fft_.data(), a.data(), m_);
-  conv_inverse_->execute_pow2(a);
+  conv_inverse_.transform_pairs(flat(a.data()), a.data());
   const double scale = 1.0 / static_cast<double>(m_);
   cmul(a.data(), chirp_.data(), data.data(), n_);
   for (std::size_t k = 0; k < n_; ++k) {
@@ -186,7 +198,7 @@ std::vector<Complex> FftPlan::transform(std::span<const Complex> input) const {
 RealFftPlan::RealFftPlan(std::size_t size) : n_(size) {
   if (n_ >= 4 && is_power_of_two(n_)) {
     const std::size_t half = n_ / 2;
-    half_plan_ = std::make_unique<FftPlan>(half, false);
+    half_ = Radix2Schedule(half, false);
     untangle_.resize(half + 1);
     for (std::size_t k = 0; k <= half; ++k) {
       const double angle = -2.0 * kPi * static_cast<double>(k) /
@@ -214,29 +226,14 @@ void RealFftPlan::execute(std::span<const double> input,
     throw std::invalid_argument("RealFftPlan::execute: scratch too small");
   }
 
-  if (half_plan_ != nullptr) {
-    // Packed-real: transform the N real samples as an N/2-point complex
-    // FFT, then untangle even/odd with the precomputed coefficients.
+  if (half_.size() != 0) {
+    // Packed-real: the N real samples are the N/2 complex values
+    // (x[2i], x[2i+1]); the schedule gathers them straight from `input`,
+    // then the untangle splits even and odd.
     const std::size_t half = n_ / 2;
-    std::span<Complex> z = scratch.first(half);
-    for (std::size_t i = 0; i < half; ++i) {
-      z[i] = Complex{input[2 * i], input[2 * i + 1]};
-    }
-    half_plan_->execute(z);
-
-    for (std::size_t k = 0; k <= half / 2; ++k) {
-      const std::size_t km = (half - k) % half;
-      const Complex a = z[k];
-      const Complex b = std::conj(z[km]);
-      const Complex even = 0.5 * (a + b);
-      const Complex odd = Complex{0.0, -0.5} * (a - b);
-      out_bins[k] = even + untangle_[k] * odd;
-      // The mirrored entry X[half - k] from the conjugated split.
-      out_bins[half - k] =
-          std::conj(even) + untangle_[half - k] * std::conj(odd);
-    }
-    // X[half] (Nyquist) from the even/odd split at k = 0.
-    out_bins[half] = Complex{z[0].real() - z[0].imag(), 0.0};
+    half_.transform_pairs(input.data(), scratch.data());
+    simd::active_kernels().fft_untangle(scratch.data(), untangle_.data(),
+                                        out_bins.data(), half);
     return;
   }
 

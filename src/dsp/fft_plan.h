@@ -7,16 +7,28 @@
 // times per second.  Following the classic FFTW "plan once, execute many"
 // design, a plan precomputes everything that depends only on the
 // transform size and direction:
-//   * FftPlan      — complex DFT of any length: twiddle table + bit
-//                    reversal permutation for power-of-two sizes, a
-//                    precomputed Bluestein chirp + convolution kernel for
-//                    everything else;
+//   * Radix2Schedule — the one power-of-two transform every plan runs: a
+//                    stage-major twiddle table and the bit-reversed
+//                    start of each eight-value row.  transform_pairs()
+//                    gathers the input in bit-reversed order fused with
+//                    the first three radix-2 stages, then runs the rest
+//                    two stages per pass (the dsp/simd.h FFT kernels);
+//   * FftPlan      — complex DFT of any length: one schedule for
+//                    power-of-two sizes, a precomputed Bluestein chirp +
+//                    convolution kernel and two schedules for everything
+//                    else;
 //   * RealFftPlan  — forward DFT of a real signal producing the
-//                    single-sided half spectrum, with precomputed
-//                    packed-real untangle coefficients;
+//                    single-sided half spectrum: a half-size schedule
+//                    fed the samples as packed complex pairs, plus
+//                    precomputed untangle coefficients;
 //   * PlanCache    — thread-safe process-wide cache keyed by (size,
 //                    direction) so every subsystem asking for the same
 //                    transform shares one table set.
+//
+// Every butterfly sees the operands and twiddle of the textbook
+// iterative radix-2 loop (bit-reversal swap pass, then stage by stage);
+// only the order of independent butterflies and the number of memory
+// passes differ, so the spectra are bit-identical to that loop's.
 //
 // The rule is "plan cold, execute hot": build or fetch a plan at
 // construction time, then execute() into caller-provided buffers — the
@@ -36,6 +48,32 @@
 #include "dsp/fft.h"
 
 namespace mdn::dsp {
+
+/// A power-of-two complex DFT schedule (size 0 means "none").  Shared
+/// by FftPlan, its Bluestein convolutions and RealFftPlan.
+class Radix2Schedule {
+ public:
+  Radix2Schedule() = default;
+  /// Plans a `size`-point transform (size a power of two >= 2);
+  /// `inverse` selects the conjugate twiddles.
+  Radix2Schedule(std::size_t size, bool inverse);
+
+  std::size_t size() const noexcept { return n_; }
+
+  /// Transforms z[i] = (src[2i], src[2i + 1]), i < size(), into
+  /// out[0, size()).  `src` either is the flat view of `out` (an
+  /// in-place transform) or does not overlap it.  No allocation.
+  void transform_pairs(const double* src, Complex* out) const noexcept;
+
+ private:
+  std::size_t n_ = 0;
+  // rows_[j] = bit reversal of 8j: the first source of output row j
+  // (size >= 8 only).
+  std::vector<std::uint32_t> rows_;
+  // Stage-major twiddle table (n - 1 entries): the len/2 factors of
+  // stage `len` stored contiguously, stage after stage.
+  std::vector<Complex> twiddles_;
+};
 
 /// A planned complex DFT of a fixed size and direction.
 class FftPlan {
@@ -62,29 +100,25 @@ class FftPlan {
   std::vector<Complex> transform(std::span<const Complex> input) const;
 
  private:
-  void execute_pow2(std::span<Complex> data) const noexcept;
-
   std::size_t n_;
   bool inverse_;
-  // Power-of-two path: stage-major twiddle table (n - 1 entries), the
-  // len/2 factors of stage `len` stored contiguously so the butterfly
-  // loop reads them at unit stride.
-  std::vector<std::uint32_t> bitrev_;
-  std::vector<Complex> twiddles_;
+  // Power-of-two path.
+  Radix2Schedule pow2_;
   // Bluestein path (non power-of-two): chirp w[k], the forward FFT of
-  // the convolution kernel, and two power-of-two sub-plans of length m_.
+  // the convolution kernel, and the two length-m_ convolution schedules.
   std::size_t m_ = 0;
   std::vector<Complex> chirp_;
   std::vector<Complex> kernel_fft_;
-  std::unique_ptr<FftPlan> conv_forward_;
-  std::unique_ptr<FftPlan> conv_inverse_;
+  Radix2Schedule conv_forward_;
+  Radix2Schedule conv_inverse_;
 };
 
 /// A planned forward DFT of a real signal, producing the single-sided
 /// spectrum (bins [0, N/2]; the upper half is its conjugate mirror).
 /// Power-of-two sizes >= 4 use the packed-real trick (an N/2-point
-/// complex FFT plus a precomputed untangle pass) — roughly half the cost
-/// of promoting to complex.  Other sizes fall back to a complex plan.
+/// complex FFT that gathers the samples as pairs, plus a precomputed
+/// untangle pass) — roughly half the cost of promoting to complex.
+/// Other sizes fall back to a complex plan.
 class RealFftPlan {
  public:
   explicit RealFftPlan(std::size_t size);
@@ -108,9 +142,9 @@ class RealFftPlan {
  private:
   std::size_t n_;
   std::size_t scratch_size_ = 0;
-  // Packed path: half-size complex plan + untangle twiddles
+  // Packed path: half-size schedule + untangle twiddles
   // w_k = exp(-2*pi*i*k/n) for k in [0, n/2].
-  std::unique_ptr<FftPlan> half_plan_;
+  Radix2Schedule half_;
   std::vector<Complex> untangle_;
   // Fallback path: full-size complex plan (promote to complex).
   std::unique_ptr<FftPlan> full_plan_;

@@ -77,7 +77,7 @@ Spectrogram stft(std::span<const double> signal, double sample_rate,
   // per-frame cost is copy + window + execute with no allocation.
   const auto plan = PlanCache::global().real_plan(config.fft_size);
   SpectrumWorkspace ws(*plan);
-  const auto window = make_window(config.window, config.fft_size);
+  const AnalysisWindow window(config.window, config.fft_size);
   std::vector<double> chunk(config.fft_size);
   for (std::size_t f = 0; f < frames; ++f) {
     const std::size_t start = f * config.hop;
@@ -89,7 +89,8 @@ Spectrogram stft(std::span<const double> signal, double sample_rate,
                 chunk.begin());
     std::fill(chunk.begin() + static_cast<std::ptrdiff_t>(avail), chunk.end(),
               0.0);
-    amplitude_spectrum_into(chunk, window, *plan, ws, out.frame(f));
+    amplitude_spectrum_into(chunk, window.coeffs, window.gain, *plan, ws,
+                            out.frame(f));
   }
   return out;
 }

@@ -30,8 +30,8 @@ void SpectrumWorkspace::resize_for(const RealFftPlan& plan) {
 
 void amplitude_spectrum_into(std::span<const double> signal,
                              std::span<const double> window,
-                             const RealFftPlan& plan, SpectrumWorkspace& ws,
-                             std::span<double> out) {
+                             double window_gain, const RealFftPlan& plan,
+                             SpectrumWorkspace& ws, std::span<double> out) {
   if (signal.size() != window.size()) {
     throw std::invalid_argument(
         "amplitude_spectrum_into: window size mismatch");
@@ -59,8 +59,7 @@ void amplitude_spectrum_into(std::span<const double> signal,
   // A sine of amplitude A contributes A * gain / 2 to its bin (the other
   // half lands in the conjugate bin), where gain is the coherent window
   // gain; scale so the reported value is A.
-  const double gain = window_coherent_gain(window);
-  const double scale = gain > 0.0 ? 2.0 / gain : 0.0;
+  const double scale = window_gain > 0.0 ? 2.0 / window_gain : 0.0;
   const std::size_t bins = plan.bins();
   kern.mag_scale_aos(ws.bins.data(), scale, out.data(), bins);
   // DC and Nyquist have no conjugate partner.
@@ -79,7 +78,8 @@ std::vector<double> amplitude_spectrum(std::span<const double> signal,
   const auto plan = PlanCache::global().real_plan(n);
   SpectrumWorkspace ws(*plan);
   std::vector<double> out(plan->bins());
-  amplitude_spectrum_into(signal, window, *plan, ws, out);
+  amplitude_spectrum_into(signal, window, window_coherent_gain(window), *plan,
+                          ws, out);
   return out;
 }
 
@@ -98,7 +98,8 @@ std::vector<double> amplitude_spectrum_padded(std::span<const double> signal,
   const auto plan = PlanCache::global().real_plan(fft_size);
   SpectrumWorkspace ws(*plan);
   std::vector<double> out(plan->bins());
-  amplitude_spectrum_into(signal, window, *plan, ws, out);
+  amplitude_spectrum_into(signal, window, window_coherent_gain(window), *plan,
+                          ws, out);
   return out;
 }
 

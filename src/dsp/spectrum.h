@@ -64,12 +64,14 @@ struct SpectrumWorkspace {
 /// Zero-allocation amplitude spectrum: windows `signal` (signal.size()
 /// == window.size() <= plan.size()), zero-pads to plan.size(), executes
 /// `plan` through `ws` and writes plan.bins() window-normalised
-/// amplitudes into `out`.  Covers both the unpadded (signal.size() ==
-/// plan.size()) and padded cases of the allocating functions above.
+/// amplitudes into `out`.  `window_gain` is window_coherent_gain(window),
+/// summed once where the window is built rather than on every block.
+/// Covers both the unpadded (signal.size() == plan.size()) and padded
+/// cases of the allocating functions above.
 void amplitude_spectrum_into(std::span<const double> signal,
                              std::span<const double> window,
-                             const RealFftPlan& plan, SpectrumWorkspace& ws,
-                             std::span<double> out);
+                             double window_gain, const RealFftPlan& plan,
+                             SpectrumWorkspace& ws, std::span<double> out);
 
 /// Finds local maxima in a single-sided spectrum that exceed
 /// `min_amplitude` and are the largest value within +-`neighborhood` bins.

@@ -33,4 +33,15 @@ void apply_window(std::span<double> signal, std::span<const double> window);
 /// unit-amplitude sine reports ~1.0 regardless of window choice.
 double window_coherent_gain(std::span<const double> window) noexcept;
 
+/// A window and its coherent gain, summed once when the window is built
+/// so a per-block spectrum need not re-sum it.
+struct AnalysisWindow {
+  AnalysisWindow() = default;
+  AnalysisWindow(WindowKind kind, std::size_t n)
+      : coeffs(make_window(kind, n)), gain(window_coherent_gain(coeffs)) {}
+
+  std::vector<double> coeffs;
+  double gain = 0.0;
+};
+
 }  // namespace mdn::dsp

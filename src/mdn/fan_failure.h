@@ -80,7 +80,7 @@ class FanFailureDetector {
   double sample_rate_;
   FanDetectorConfig config_;
   std::shared_ptr<const dsp::RealFftPlan> plan_;
-  std::vector<double> window_;
+  dsp::AnalysisWindow window_;
   std::size_t band_lo_bin_ = 0;
   std::size_t band_hi_bin_ = 0;  // inclusive
   std::vector<double> reference_;  // mean in-band amplitude spectrum

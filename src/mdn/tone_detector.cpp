@@ -21,7 +21,7 @@ struct DetectScratch {
   std::vector<dsp::SpectralPeak> peaks;
   // Fallback window for block lengths the detector was not configured
   // for (cold path; cached per thread so repeats stay allocation-free).
-  std::vector<double> window;
+  dsp::AnalysisWindow window;
   dsp::WindowKind window_kind = dsp::WindowKind::kRectangular;
 };
 
@@ -35,7 +35,7 @@ DetectScratch& detect_scratch() {
 ToneDetector::ToneDetector(const ToneDetectorConfig& config)
     : config_(config),
       plan_(dsp::PlanCache::global().real_plan(config.fft_size)),
-      window_(dsp::make_window(config.window, config.fft_size)),
+      window_(config.window, config.fft_size),
       fft_(&obs::Registry::global().histogram("dsp/fft/wall_ns")),
       goertzel_(&obs::Registry::global().histogram("dsp/goertzel/wall_ns")) {
   if (config.sample_rate <= 0.0 || config.fft_size == 0) {
@@ -45,7 +45,7 @@ ToneDetector::ToneDetector(const ToneDetectorConfig& config)
   // the full-size window, so only a genuinely shorter block needs its
   // own precomputed window.
   if (config.block_size > 0 && config.block_size < config.fft_size) {
-    block_window_ = dsp::make_window(config.window, config.block_size);
+    block_window_ = dsp::AnalysisWindow(config.window, config.block_size);
   }
   // First registry consumer with kernel access: publish which SIMD path
   // (avx2/scalar) will produce every number this detector reports.
@@ -68,13 +68,13 @@ void ToneDetector::detect_into(std::span<const double> block,
   detect_impl(block, out, stats);
 }
 
-std::span<const double> ToneDetector::window_for(
-    std::size_t n, std::vector<double>& cache,
+const dsp::AnalysisWindow& ToneDetector::window_for(
+    std::size_t n, dsp::AnalysisWindow& cache,
     dsp::WindowKind& cache_kind) const {
   if (n == config_.fft_size) return window_;
-  if (n == block_window_.size()) return block_window_;
-  if (cache.size() != n || cache_kind != config_.window) {
-    cache = dsp::make_window(config_.window, n);
+  if (n == block_window_.coeffs.size()) return block_window_;
+  if (cache.coeffs.size() != n || cache_kind != config_.window) {
+    cache = dsp::AnalysisWindow(config_.window, n);
     cache_kind = config_.window;
   }
   return cache;
@@ -145,14 +145,14 @@ void ToneDetector::detect_impl(std::span<const double> block,
   const auto data = block.first(n);
 
   DetectScratch& scratch = detect_scratch();
-  const std::span<const double> window =
+  const dsp::AnalysisWindow& window =
       window_for(n, scratch.window, scratch.window_kind);
 
   if (scratch.spectrum.size() < plan_->bins()) {
     scratch.spectrum.resize(plan_->bins());
   }
-  dsp::amplitude_spectrum_into(data, window, *plan_, scratch.ws,
-                               scratch.spectrum);
+  dsp::amplitude_spectrum_into(data, window.coeffs, window.gain, *plan_,
+                               scratch.ws, scratch.spectrum);
   finish_block(data,
                std::span<const double>(scratch.spectrum.data(), plan_->bins()),
                scratch.peaks, out, stats);

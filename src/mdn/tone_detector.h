@@ -121,9 +121,9 @@ class ToneDetector {
                    obs::BlockSignalStats* stats) const;
   // Analysis window for an n-sample block, using the per-thread cache
   // for lengths the detector was not configured for.
-  std::span<const double> window_for(std::size_t n,
-                                     std::vector<double>& cache,
-                                     dsp::WindowKind& cache_kind) const;
+  const dsp::AnalysisWindow& window_for(std::size_t n,
+                                        dsp::AnalysisWindow& cache,
+                                        dsp::WindowKind& cache_kind) const;
   // Peak picking + health stats over an already-computed spectrum —
   // the post-FFT half of detect_impl.
   void finish_block(std::span<const double> data,
@@ -138,8 +138,8 @@ class ToneDetector {
   // with no mutable members (two threads sharing one detector no longer
   // race on a cached window).
   std::shared_ptr<const dsp::RealFftPlan> plan_;
-  std::vector<double> window_;        // fft_size analysis window
-  std::vector<double> block_window_;  // block_size window (may be empty)
+  dsp::AnalysisWindow window_;        // fft_size analysis window
+  dsp::AnalysisWindow block_window_;  // block_size window (may be empty)
   // Wall-time stages ("dsp/fft/wall_ns" is the Fig 2b CDF source).
   obs::Stage fft_;
   obs::Stage goertzel_;

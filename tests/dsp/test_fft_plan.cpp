@@ -1,14 +1,22 @@
 // Planned FFT engine: oracle comparison against the naive DFT, the
-// packed-real path against promote-to-complex, and the process-wide
-// plan cache contract (reuse, identical spectra, thread safety).
+// packed-real path against promote-to-complex, bit-identity with the
+// textbook schedule the plans replaced, and the process-wide plan cache
+// contract (reuse, identical spectra, thread safety).
 #include "dsp/fft_plan.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <memory>
+#include <numbers>
+#include <string>
 #include <thread>
+#include <utility>
 
 #include "audio/rng.h"
+#include "dsp/simd.h"
 
 namespace mdn::dsp {
 namespace {
@@ -140,6 +148,301 @@ TEST(RealFftPlan, ThrowsOnBadBuffers) {
   EXPECT_THROW(plan.execute(in, short_bins, scratch), std::invalid_argument);
   std::vector<Complex> short_scratch(plan.scratch_size() - 1);
   EXPECT_THROW(plan.execute(in, bins, short_scratch), std::invalid_argument);
+}
+
+// --- bit identity with the textbook schedule ------------------------
+//
+// The plans run their butterflies gathered, fused and two stages per
+// pass; the oracle below is the schedule they replaced, written out
+// here: the same twiddle and chirp tables, a bit-reversal swap pass,
+// every stage in turn, and the real-FFT untangle on std::complex.  Each
+// butterfly sees the same operands in both, so every output double must
+// match exactly, under every kernel table.
+
+constexpr double kPi = std::numbers::pi;
+
+class TextbookFft {
+ public:
+  TextbookFft(std::size_t n, bool inverse) : n_(n) {
+    if (n_ <= 1) return;
+    if (is_power_of_two(n_)) {
+      bitrev_.resize(n_);
+      std::size_t j = 0;
+      for (std::size_t i = 1; i < n_; ++i) {
+        std::size_t bit = n_ >> 1;
+        while (j & bit) {
+          j ^= bit;
+          bit >>= 1;
+        }
+        j |= bit;
+        bitrev_[i] = j;
+      }
+      const double sign = inverse ? 2.0 : -2.0;
+      for (std::size_t len = 2; len <= n_; len <<= 1) {
+        for (std::size_t k = 0; k < len / 2; ++k) {
+          const double angle = sign * kPi * static_cast<double>(k) /
+                               static_cast<double>(len);
+          twiddles_.push_back(Complex{std::cos(angle), std::sin(angle)});
+        }
+      }
+      return;
+    }
+    const double sign = inverse ? 1.0 : -1.0;
+    chirp_.resize(n_);
+    for (std::size_t k = 0; k < n_; ++k) {
+      const auto k2 = static_cast<double>((k * k) % (2 * n_));
+      const double angle = sign * kPi * k2 / static_cast<double>(n_);
+      chirp_[k] = Complex{std::cos(angle), std::sin(angle)};
+    }
+    m_ = next_power_of_two(2 * n_ - 1);
+    conv_forward_ = std::make_unique<TextbookFft>(m_, false);
+    conv_inverse_ = std::make_unique<TextbookFft>(m_, true);
+    kernel_fft_.assign(m_, Complex{0.0, 0.0});
+    kernel_fft_[0] = std::conj(chirp_[0]);
+    for (std::size_t k = 1; k < n_; ++k) {
+      kernel_fft_[k] = std::conj(chirp_[k]);
+      kernel_fft_[m_ - k] = kernel_fft_[k];
+    }
+    conv_forward_->pow2(kernel_fft_);
+  }
+
+  std::vector<Complex> transform(std::vector<Complex> data) const {
+    if (n_ <= 1) return data;
+    if (m_ == 0) {
+      pow2(data);
+      return data;
+    }
+    std::vector<Complex> a(m_, Complex{0.0, 0.0});
+    cmul(data.data(), chirp_.data(), a.data(), n_);
+    conv_forward_->pow2(a);
+    cmul(a.data(), kernel_fft_.data(), a.data(), m_);
+    conv_inverse_->pow2(a);
+    const double scale = 1.0 / static_cast<double>(m_);
+    cmul(a.data(), chirp_.data(), data.data(), n_);
+    for (auto& x : data) x = Complex{x.real() * scale, x.imag() * scale};
+    return data;
+  }
+
+ private:
+  static void cmul(const Complex* a, const Complex* b, Complex* out,
+                   std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const double ar = a[i].real(), ai = a[i].imag();
+      const double br = b[i].real(), bi = b[i].imag();
+      out[i] = Complex{ar * br - ai * bi, ar * bi + ai * br};
+    }
+  }
+
+  void pow2(std::vector<Complex>& data) const {
+    for (std::size_t i = 1; i < n_; ++i) {
+      if (i < bitrev_[i]) std::swap(data[i], data[bitrev_[i]]);
+    }
+    const Complex* stage = twiddles_.data();
+    for (std::size_t len = 2; len <= n_; len <<= 1) {
+      const std::size_t half = len / 2;
+      for (std::size_t i = 0; i < n_; i += len) {
+        for (std::size_t k = 0; k < half; ++k) {
+          Complex& a = data[i + k];
+          Complex& b = data[i + k + half];
+          const double wr = stage[k].real(), wi = stage[k].imag();
+          const double vr = b.real() * wr - b.imag() * wi;
+          const double vi = b.real() * wi + b.imag() * wr;
+          const double ar = a.real(), ai = a.imag();
+          a = Complex{ar + vr, ai + vi};
+          b = Complex{ar - vr, ai - vi};
+        }
+      }
+      stage += half;
+    }
+  }
+
+  std::size_t n_;
+  std::vector<std::size_t> bitrev_;
+  std::vector<Complex> twiddles_;
+  std::size_t m_ = 0;
+  std::vector<Complex> chirp_;
+  std::vector<Complex> kernel_fft_;
+  std::unique_ptr<TextbookFft> conv_forward_;
+  std::unique_ptr<TextbookFft> conv_inverse_;
+};
+
+// The packed-real path (n a power of two >= 4) with its std::complex
+// untangle.
+std::vector<Complex> textbook_real_fft(std::span<const double> x) {
+  const std::size_t n = x.size();
+  const std::size_t half = n / 2;
+  std::vector<Complex> z(half);
+  for (std::size_t i = 0; i < half; ++i) z[i] = Complex{x[2 * i], x[2 * i + 1]};
+  z = TextbookFft(half, false).transform(std::move(z));
+  std::vector<Complex> out(half + 1);
+  for (std::size_t k = 0; k <= half / 2; ++k) {
+    const double angle_k =
+        -2.0 * kPi * static_cast<double>(k) / static_cast<double>(n);
+    const double angle_m = -2.0 * kPi * static_cast<double>(half - k) /
+                           static_cast<double>(n);
+    const Complex wk{std::cos(angle_k), std::sin(angle_k)};
+    const Complex wm{std::cos(angle_m), std::sin(angle_m)};
+    const std::size_t km = (half - k) % half;
+    const Complex a = z[k];
+    const Complex b = std::conj(z[km]);
+    const Complex even = 0.5 * (a + b);
+    const Complex odd = Complex{0.0, -0.5} * (a - b);
+    out[k] = even + wk * odd;
+    out[half - k] = std::conj(even) + wm * std::conj(odd);
+  }
+  out[half] = Complex{z[0].real() - z[0].imag(), 0.0};
+  return out;
+}
+
+// Random values with exact zeros and -0.0 planted among them.
+std::vector<double> with_zeros(std::vector<double> v) {
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (i % 7 == 3) v[i] = 0.0;
+    if (i % 11 == 5) v[i] = -0.0;
+  }
+  return v;
+}
+
+std::vector<Complex> complex_with_zeros(std::size_t n, std::uint64_t seed) {
+  const auto re = with_zeros(random_real(n, seed));
+  const auto im = with_zeros(random_real(n, seed + 1));
+  std::vector<Complex> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    v[i] = Complex{re[i], im[i]};
+    if (i % 13 == 6) v[i] = Complex{-0.0, -0.0};
+  }
+  return v;
+}
+
+// The detector's input shape: `live` samples, then exact zeros up to
+// 4096 (the zero-padded tail of a 50 or 25 ms block).
+std::vector<double> padded_block(std::size_t live, std::uint64_t seed) {
+  auto v = with_zeros(random_real(live, seed));
+  v.resize(4096, 0.0);
+  return v;
+}
+
+std::vector<std::size_t> powers_of_two(std::size_t from, std::size_t to) {
+  std::vector<std::size_t> out;
+  for (std::size_t n = from; n <= to; n *= 2) out.push_back(n);
+  return out;
+}
+
+constexpr std::size_t kBluesteinSizes[] = {3, 5, 12, 100, 1000, 2400};
+
+void expect_same_bits(std::span<const Complex> got,
+                      std::span<const Complex> want, const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  std::size_t diverged = 0;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (std::memcmp(&got[i], &want[i], sizeof(Complex)) != 0 &&
+        ++diverged <= 3) {
+      ADD_FAILURE() << what << " bin " << i << ": got " << got[i] << ", want "
+                    << want[i];
+    }
+  }
+  EXPECT_EQ(diverged, 0u) << what;
+}
+
+// Runs `body` once under each kernel table this build and CPU offer.
+template <typename Body>
+void for_each_isa(Body&& body) {
+  const simd::Isa before = simd::active_isa();
+  for (simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kAvx2}) {
+    if (!simd::isa_available(isa)) continue;
+    simd::set_active_isa_for_testing(isa);
+    body(std::string(" under ") + simd::isa_name(isa));
+  }
+  simd::set_active_isa_for_testing(before);
+}
+
+TEST(FftPlanTextbookBits, ComplexPlansMatchBitForBit) {
+  std::vector<std::size_t> sizes = powers_of_two(2, 65536);
+  sizes.insert(sizes.end(), std::begin(kBluesteinSizes),
+               std::end(kBluesteinSizes));
+  for (const std::size_t n : sizes) {
+    const auto in = complex_with_zeros(n, 4000 + n);
+    for (const bool inverse : {false, true}) {
+      const auto want = TextbookFft(n, inverse).transform(in);
+      const FftPlan plan(n, inverse);
+      for_each_isa([&](const std::string& isa) {
+        expect_same_bits(plan.transform(in), want,
+                         "n=" + std::to_string(n) +
+                             (inverse ? " inverse" : " forward") + isa);
+      });
+    }
+  }
+}
+
+TEST(FftPlanTextbookBits, RealPlansMatchBitForBit) {
+  for (const std::size_t n : powers_of_two(4, 65536)) {
+    const auto in = with_zeros(random_real(n, 5000 + n));
+    const auto want = textbook_real_fft(in);
+    const RealFftPlan plan(n);
+    for_each_isa([&](const std::string& isa) {
+      expect_same_bits(plan.spectrum(in), want,
+                       "real n=" + std::to_string(n) + isa);
+    });
+  }
+}
+
+TEST(FftPlanTextbookBits, DetectorBlocksMatchBitForBit) {
+  const RealFftPlan plan(4096);
+  for (const std::size_t live : {2400u, 1200u}) {
+    const auto in = padded_block(live, 6000 + live);
+    const auto want = textbook_real_fft(in);
+    for_each_isa([&](const std::string& isa) {
+      expect_same_bits(plan.spectrum(in), want,
+                       "live=" + std::to_string(live) + isa);
+    });
+  }
+  // All zeros, and all -0.0: the signed-zero corner of every product.
+  for (const double zero : {0.0, -0.0}) {
+    const std::vector<double> in(4096, zero);
+    const auto want = textbook_real_fft(in);
+    for_each_isa([&](const std::string& isa) {
+      expect_same_bits(plan.spectrum(in), want,
+                       std::string(std::signbit(zero) ? "-0.0" : "0.0") +
+                           " block" + isa);
+    });
+  }
+}
+
+// FNV-1a over the bit patterns of every spectrum the three tests above
+// compare, pinned from the textbook-schedule build so that a build
+// without a second table (-DMDN_NO_SIMD=ON) is held to the same bits.
+TEST(FftPlanTextbookBits, SpectraDigestIsPinned) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](std::span<const Complex> spectrum) {
+    for (const Complex& c : spectrum) {
+      unsigned char bytes[sizeof(Complex)];
+      std::memcpy(bytes, &c, sizeof(Complex));
+      for (const unsigned char b : bytes) {
+        h ^= b;
+        h *= 0x100000001b3ULL;
+      }
+    }
+  };
+  std::vector<std::size_t> sizes = powers_of_two(2, 65536);
+  sizes.insert(sizes.end(), std::begin(kBluesteinSizes),
+               std::end(kBluesteinSizes));
+  for (const std::size_t n : sizes) {
+    const auto in = complex_with_zeros(n, 4000 + n);
+    for (const bool inverse : {false, true}) {
+      mix(FftPlan(n, inverse).transform(in));
+    }
+  }
+  for (const std::size_t n : powers_of_two(4, 65536)) {
+    mix(RealFftPlan(n).spectrum(with_zeros(random_real(n, 5000 + n))));
+  }
+  const RealFftPlan plan(4096);
+  for (const std::size_t live : {2400u, 1200u}) {
+    mix(plan.spectrum(padded_block(live, 6000 + live)));
+  }
+  for (const double zero : {0.0, -0.0}) {
+    mix(plan.spectrum(std::vector<double>(4096, zero)));
+  }
+  EXPECT_EQ(h, 0x102baf78fa26f316ULL) << std::hex << "digest 0x" << h;
 }
 
 TEST(PlanCache, ReturnsTheSamePlanForTheSameKey) {

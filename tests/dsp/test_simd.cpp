@@ -9,8 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "audio/rng.h"
@@ -53,13 +56,15 @@ std::vector<Complex> random_complex(std::size_t n, std::uint64_t seed) {
   return v;
 }
 
+// Compares bit patterns, so 0.0 against -0.0 is a divergence too.
 void expect_bits_eq(std::span<const double> got, std::span<const double> want,
                     const char* what, Isa isa) {
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i], want[i])
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+              std::bit_cast<std::uint64_t>(want[i]))
         << what << " diverged from scalar at [" << i << "] under "
-        << isa_name(isa);
+        << isa_name(isa) << ": " << got[i] << " vs " << want[i];
   }
 }
 
@@ -67,12 +72,10 @@ void expect_bits_eq(std::span<const Complex> got,
                     std::span<const Complex> want, const char* what,
                     Isa isa) {
   ASSERT_EQ(got.size(), want.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(got[i].real(), want[i].real())
-        << what << " re diverged at [" << i << "] under " << isa_name(isa);
-    EXPECT_EQ(got[i].imag(), want[i].imag())
-        << what << " im diverged at [" << i << "] under " << isa_name(isa);
-  }
+  const auto* g = reinterpret_cast<const double*>(got.data());
+  const auto* w = reinterpret_cast<const double*>(want.data());
+  expect_bits_eq(std::span<const double>(g, 2 * got.size()),
+                 std::span<const double>(w, 2 * want.size()), what, isa);
 }
 
 TEST(SimdDispatch, ScalarIsAlwaysAvailable) {
@@ -118,20 +121,90 @@ TEST(SimdKernels, MagScaleMatchesScalarBitwise) {
   }
 }
 
-TEST(SimdKernels, ButterflyAosMatchesScalarBitwise) {
+// Random values with an exact zero or -0.0 in every few components:
+// signed zeros are where a reordered or simplified product would first
+// show.
+std::vector<Complex> random_complex_with_zeros(std::size_t n,
+                                               std::uint64_t seed) {
+  auto v = random_complex(n, seed);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i % 5 == 1) v[i] = Complex{0.0, v[i].imag()};
+    if (i % 7 == 2) v[i] = Complex{v[i].real(), -0.0};
+    if (i % 11 == 3) v[i] = Complex{-0.0, 0.0};
+  }
+  return v;
+}
+
+TEST(SimdKernels, FftHeadMatchesScalarBitwise) {
+  // Both ways the schedule calls the head: gathering whole rows at the
+  // transform's stride, and re-reading one 8x8 tile (stride 8, bases
+  // kBitrev3) into rows spread `out_stride` apart.
+  const Kernels& ref = kernels_for(Isa::kScalar);
+  const auto tw = random_complex_with_zeros(7, 3000);
+  for (Isa isa : available_isas()) {
+    const Kernels& k = kernels_for(isa);
+    for (std::size_t rows : {1u, 2u, 3u, 8u, 32u}) {
+      const std::size_t src_stride = rows;
+      const auto src = random_complex_with_zeros(8 * rows, 3100 + rows);
+      std::vector<std::uint32_t> bases(rows);
+      for (std::size_t r = 0; r < rows; ++r) {
+        bases[r] = static_cast<std::uint32_t>((r * 5 + 1) % rows);
+      }
+      std::vector<Complex> want(8 * rows), got(8 * rows);
+      const auto* flat_src = reinterpret_cast<const double*>(src.data());
+      ref.fft_head(flat_src, bases.data(), src_stride, tw.data(), want.data(),
+                   8, rows);
+      k.fft_head(flat_src, bases.data(), src_stride, tw.data(), got.data(), 8,
+                 rows);
+      expect_bits_eq(got, want, "fft_head (gather)", isa);
+    }
+    const auto tile = random_complex_with_zeros(64, 3200);
+    const auto* flat_tile = reinterpret_cast<const double*>(tile.data());
+    std::vector<Complex> want(8 * 24), got(8 * 24);
+    ref.fft_head(flat_tile, kBitrev3, 8, tw.data(), want.data() + 8, 24, 8);
+    k.fft_head(flat_tile, kBitrev3, 8, tw.data(), got.data() + 8, 24, 8);
+    expect_bits_eq(got, want, "fft_head (tile)", isa);
+  }
+}
+
+TEST(SimdKernels, FftStagesMatchesScalarBitwise) {
+  // Sizes below, at and above the fused head (whose last stage is len
+  // 8), with both parities of the stage count left after it: n = 1024
+  // leaves seven stages (three pairs and one single), n = 2048 eight.
+  const Kernels& ref = kernels_for(Isa::kScalar);
+  struct Case {
+    std::size_t n, len;
+  };
+  for (Isa isa : available_isas()) {
+    const Kernels& k = kernels_for(isa);
+    for (const Case c : {Case{2, 2}, Case{4, 2}, Case{8, 16}, Case{16, 16},
+                         Case{32, 16}, Case{64, 16}, Case{128, 16},
+                         Case{1024, 16}, Case{2048, 16}, Case{64, 4},
+                         Case{32, 8}}) {
+      const auto tw = random_complex_with_zeros(c.n - 1, 3300 + c.n);
+      const auto data = random_complex_with_zeros(c.n, 3400 + c.n + c.len);
+      auto want = data, got = data;
+      ref.fft_stages(want.data(), tw.data(), c.n, c.len);
+      k.fft_stages(got.data(), tw.data(), c.n, c.len);
+      expect_bits_eq(got, want, "fft_stages", isa);
+    }
+  }
+}
+
+TEST(SimdKernels, FftUntangleMatchesScalarBitwise) {
+  // half/2 from 1 up: the vector body's pairs, its scalar remainder and
+  // the self-mirrored middle bin all get exercised.
   const Kernels& ref = kernels_for(Isa::kScalar);
   for (Isa isa : available_isas()) {
     const Kernels& k = kernels_for(isa);
-    for (std::size_t half : kLens) {
-      const auto tw = random_complex(half, 800 + half);
-      const auto a0 = random_complex(half, 900 + half);
-      const auto b0 = random_complex(half, 1000 + half);
-      auto wa = a0, wb = b0;
-      ref.butterfly_aos(wa.data(), wb.data(), tw.data(), half);
-      auto ga = a0, gb = b0;
-      k.butterfly_aos(ga.data(), gb.data(), tw.data(), half);
-      expect_bits_eq(ga, wa, "butterfly_aos a", isa);
-      expect_bits_eq(gb, wb, "butterfly_aos b", isa);
+    for (std::size_t half : {2u, 4u, 6u, 8u, 10u, 12u, 14u, 16u, 34u, 1024u,
+                             2048u}) {
+      const auto z = random_complex_with_zeros(half, 3500 + half);
+      const auto w = random_complex_with_zeros(half + 1, 3600 + half);
+      std::vector<Complex> want(half + 1), got(half + 1);
+      ref.fft_untangle(z.data(), w.data(), want.data(), half);
+      k.fft_untangle(z.data(), w.data(), got.data(), half);
+      expect_bits_eq(got, want, "fft_untangle", isa);
     }
   }
 }
@@ -180,39 +253,38 @@ TEST(SimdFft, DispatchMatchesForcedScalarBitwise) {
   // chirp-z path) must produce identical bits under the runtime-selected
   // table and under forced scalar.
   const Isa before = active_isa();
-  for (std::size_t n : {std::size_t{4}, std::size_t{64}, std::size_t{256},
-                        std::size_t{2048}, std::size_t{4096},  // pow2
-                        std::size_t{3}, std::size_t{5}, std::size_t{12},
-                        std::size_t{100}, std::size_t{1000}}) {  // Bluestein
+  for (std::size_t n :
+       {std::size_t{2}, std::size_t{4}, std::size_t{8}, std::size_t{16},
+        std::size_t{32}, std::size_t{64}, std::size_t{128}, std::size_t{256},
+        std::size_t{1024}, std::size_t{2048}, std::size_t{4096},  // pow2
+        std::size_t{3}, std::size_t{5}, std::size_t{12}, std::size_t{100},
+        std::size_t{1000}, std::size_t{2400}}) {  // Bluestein
     const auto in = random_complex(n, 2200 + n);
     const FftPlan plan(n);
     const auto fast = plan.transform(in);
     set_active_isa_for_testing(Isa::kScalar);
     const auto slow = plan.transform(in);
     set_active_isa_for_testing(before);
-    ASSERT_EQ(fast.size(), slow.size());
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(fast[i].real(), slow[i].real()) << "n=" << n << " bin " << i;
-      EXPECT_EQ(fast[i].imag(), slow[i].imag()) << "n=" << n << " bin " << i;
-    }
+    SCOPED_TRACE("n=" + std::to_string(n));
+    expect_bits_eq(fast, slow, "planned FFT", before);
   }
 }
 
 TEST(SimdFft, RealPlanDispatchMatchesForcedScalarBitwise) {
   const Isa before = active_isa();
-  for (std::size_t n : {std::size_t{8}, std::size_t{2400},
-                        std::size_t{4096}}) {
+  for (std::size_t n :
+       {std::size_t{4}, std::size_t{8}, std::size_t{16}, std::size_t{32},
+        std::size_t{64}, std::size_t{128}, std::size_t{2048},
+        std::size_t{4096}, std::size_t{8192},  // packed
+        std::size_t{2400}}) {                  // promoted to complex
     const auto in = random_doubles(n, 2300 + n);
     const RealFftPlan plan(n);
     const auto fast = plan.spectrum(in);
     set_active_isa_for_testing(Isa::kScalar);
     const auto slow = plan.spectrum(in);
     set_active_isa_for_testing(before);
-    ASSERT_EQ(fast.size(), slow.size());
-    for (std::size_t i = 0; i < fast.size(); ++i) {
-      EXPECT_EQ(fast[i].real(), slow[i].real()) << "n=" << n << " bin " << i;
-      EXPECT_EQ(fast[i].imag(), slow[i].imag()) << "n=" << n << " bin " << i;
-    }
+    SCOPED_TRACE("n=" + std::to_string(n));
+    expect_bits_eq(fast, slow, "planned real FFT", before);
   }
 }
 
