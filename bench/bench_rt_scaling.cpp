@@ -296,7 +296,6 @@ int run(bool smoke, bool journal_on) {
   }
 
   mdn::bench::write_json("rt_scaling.bench.json");
-  std::printf("wrote rt_scaling.bench.json\n");
 
   int diverged = 0;
   for (const auto& claim : mdn::bench::detail::report().claims) {

@@ -6,11 +6,13 @@
 // claim the paper makes about the figure.
 //
 // In addition, everything printed through these helpers is accumulated
-// into a JSON report that is written on exit as "<figure>.bench.json"
-// (override the path with MDN_BENCH_JSON=<path>, or disable with
-// MDN_BENCH_JSON=0).  The report always carries the obs registry under
-// the stable "metrics" key, so every BENCH run ships its per-stage
-// counter/histogram breakdown and perf-trajectory tooling can diff runs.
+// into a JSON report, written on exit as "<figure>.bench.json" unless
+// the bench wrote it earlier under its own name with write_json().
+// Either way MDN_BENCH_JSON=<path> writes it to <path> instead, and
+// MDN_BENCH_JSON=0 (or "off", or empty) writes no file.  The report
+// always carries the obs registry under the stable "metrics" key, so
+// every BENCH run ships its per-stage counter/histogram breakdown and
+// perf-trajectory tooling can diff runs.
 #pragma once
 
 #include <cstdio>
@@ -63,9 +65,16 @@ inline std::string sanitize(const std::string& s) {
 }  // namespace detail
 
 /// Serialises the accumulated report (plus the global metrics registry
-/// under "metrics") to `path`.  Never throws; returns false on I/O error.
-inline bool write_json(const std::string& path) {
+/// under "metrics") to `default_path`, or where MDN_BENCH_JSON says, and
+/// prints the path written.  The report counts as written either way, so
+/// the exit hook does not write it again.  Never throws; returns false
+/// on I/O error.
+inline bool write_json(const std::string& default_path) {
   detail::Report& r = detail::report();
+  r.written = true;
+  const char* env = std::getenv("MDN_BENCH_JSON");
+  const std::string path = env != nullptr ? env : default_path;
+  if (path.empty() || path == "0" || path == "off") return true;
   std::string out = "{\"bench\":\"" + obs::json_escape(r.name) + "\",";
   out += "\"claims\":[";
   for (std::size_t i = 0; i < r.claims.size(); ++i) {
@@ -80,16 +89,15 @@ inline bool write_json(const std::string& path) {
   out += "],\"kv\":{";
   for (std::size_t i = 0; i < r.kv.size(); ++i) {
     if (i > 0) out += ',';
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.9g", r.kv[i].second);
-    out.append("\"").append(obs::json_escape(r.kv[i].first)).append("\":")
-        .append(buf);
+    out.append("\"").append(obs::json_escape(r.kv[i].first)).append("\":");
+    obs::append_number(out, r.kv[i].second);
   }
   // The stable key downstream tooling diffs: the whole obs registry.
   out += "},\"metrics\":" + obs::to_json(obs::Registry::global().snapshot());
   out += "}\n";
-  r.written = true;
-  return obs::write_file(path, out);
+  if (!obs::write_file(path, out)) return false;
+  std::printf("wrote %s\n", path.c_str());
+  return true;
 }
 
 namespace detail {
@@ -97,10 +105,7 @@ namespace detail {
 inline void write_json_at_exit() {
   Report& r = report();
   if (r.written || r.name.empty()) return;
-  const char* env = std::getenv("MDN_BENCH_JSON");
-  std::string path = env != nullptr ? env : r.name + ".bench.json";
-  if (path.empty() || path == "0" || path == "off") return;
-  write_json(path);
+  write_json(r.name + ".bench.json");
 }
 
 }  // namespace detail

@@ -9,7 +9,7 @@ Real-time purity
     the audio hot path: ToneDetector::detect_into / set_levels_into,
     FftPlan::execute / RealFftPlan::execute, the SIMD kernel dispatch
     (simd::active_kernels), GoertzelBank evaluation, RingBuffer
-    push/pop, Journal::append, WorkerPool block processing
+    push/pop, Journal::append, StreamRuntime block processing
     (process_block), the MicSignalEstimator health hooks
     (begin_block / observe_watch / end_block / queue_alert) and the
     metrics-timeline sampling hook (Timeline::sample — it runs inside

@@ -2,11 +2,11 @@
 //
 // The observability journal (obs/journal.h) stamps every played tone
 // with a record id; that id travels with the emission through the
-// acoustic channel and with recorded blocks through the BlockSink /
-// rt::StreamRuntime path, so a detection (or a backpressure drop) can
-// cite the exact emitted tone that caused it.  The tag lives here, in
-// the audio layer, so audio and the core BlockSink seam stay free of an
-// obs dependency: `cause` is opaque here — 0 means untagged.
+// acoustic channel and with recorded blocks into the controller or
+// rt::StreamRuntime::submit_block, so a detection (or a backpressure
+// drop) can cite the exact emitted tone that caused it.  The tag lives
+// here, in the audio layer, so audio stays free of an obs dependency:
+// `cause` is opaque here — 0 means untagged.
 #pragma once
 
 #include <cstdint>

@@ -37,11 +37,9 @@ MdnController::MdnController(net::EventLoop& loop,
   obs::Tracer& tracer = loop_.tracer();
   const std::uint32_t track = tracer.track("mdn/controller");
   const auto stage = [&](std::string_view span, const char* hist) {
-    return obs::Stage(hist != nullptr ? &registry.histogram(hist) : nullptr,
-                      &tracer, span, track);
+    return obs::Stage(&registry.histogram(hist), &tracer, span, track);
   };
   record_ = stage("controller/record", "mdn/controller/record_wall_ns");
-  submit_ = stage("controller/submit", nullptr);
   detect_ = stage("controller/detect", "mdn/controller/detect_wall_ns");
   match_ = stage("controller/match", "mdn/controller/match_wall_ns");
 }
@@ -63,10 +61,10 @@ void MdnController::observe_blocks(BlockObserver observer) {
 
 void MdnController::start(Clock clock) {
   if (running_) return;
-  if (config_.sink == nullptr && config_.health != nullptr &&
-      config_.sink_mic >= config_.health->mic_count()) {
+  if (config_.health != nullptr &&
+      config_.mic >= config_.health->mic_count()) {
     throw std::logic_error(
-        "MdnController: health engine has no estimator for sink_mic");
+        "MdnController: health engine has no estimator for the mic");
   }
   running_ = true;
   // A series that has not yet fired since stop() is still scheduled and
@@ -100,17 +98,13 @@ void MdnController::capture(net::SimTime sim_now) {
 
   // Provenance: recover the ground-truth tags of emissions overlapping
   // this block (journal on only; a single predicted-false branch when
-  // off).  The tags ride to the runtime with the block, or resolve
-  // inline detections in publish().
+  // off).  They resolve the block's detections in publish().
   ntags_ = 0;
   if (obs::Journal::global().enabled()) {
     ntags_ = channel_.collect_tags(
         microphone_.spec().position, start_s, now_s,
         std::span<audio::EmissionTag>(tag_scratch_));
   }
-
-  // Runtime mode detects on the runtime's sharded workers instead.
-  if (config_.sink != nullptr) return;
 
   // Stage 2: windowed FFT + peak picking (also feeds "dsp/fft/wall_ns").
   const auto timed = detect_.realtime_scope(&detect_reading_);
@@ -133,16 +127,6 @@ void MdnController::publish() {
   }
   const std::span<const audio::EmissionTag> tags(tag_scratch_.data(), ntags_);
 
-  // Runtime mode: hand the block to the streaming runtime and return —
-  // onsets come back through the ordered merge, not through this
-  // controller's watches.
-  if (config_.sink != nullptr) {
-    const auto timed = submit_.scope(sim_now);
-    config_.sink->submit_block(config_.sink_mic, start_s, block_.samples(),
-                               tags);
-    return;
-  }
-
   // Ingest record: the capture boundary of the latency waterfall.  One
   // per tagged block, stamped at block END (the earliest sim time the
   // samples exist to be analysed), citing the first overlapping
@@ -155,7 +139,7 @@ void MdnController::publish() {
     rec.kind = obs::JournalKind::kBlockIngested;
     rec.sim_ns = sim_now;
     rec.cause = tag_scratch_[0].cause;
-    rec.mic = config_.sink_mic;
+    rec.mic = config_.mic;
     rec.aux = blocks_;
     obs::set_journal_label(rec, "ingest");
     ingest_id = journal.append(rec);
@@ -164,7 +148,7 @@ void MdnController::publish() {
   detect_.span(sim_now, detect_reading_);
   obs::MicSignalEstimator* est = nullptr;
   if (config_.health != nullptr) {
-    est = &config_.health->estimator(config_.sink_mic);
+    est = &config_.health->estimator(config_.mic);
     est->begin_block(now_s, stats_);
   }
 
@@ -186,7 +170,7 @@ void MdnController::publish() {
             rec.sim_ns = sim_now;
             rec.frequency_hz = hz;
             rec.value = amplitude;
-            rec.mic = config_.sink_mic;
+            rec.mic = config_.mic;
             rec.watch = static_cast<std::int32_t>(wi);
             rec.cause = cause;
             rec.cause2 = ingest_id;
@@ -202,8 +186,8 @@ void MdnController::publish() {
   }
   if (est != nullptr) {
     est->end_block();
-    // Inline mode is single-threaded: the tick is also the owner-thread
-    // evaluation step, so alerts surface at the block that tripped them.
+    // The tick is also the owner-thread evaluation step, so alerts
+    // surface at the block that tripped them.
     config_.health->poll();
   }
 }

@@ -18,10 +18,10 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "audio/channel.h"
-#include "mdn/block_sink.h"
 #include "mdn/tone_detector.h"
 #include "net/event_loop.h"
 #include "obs/health.h"
@@ -40,19 +40,12 @@ class MdnController {
     audio::MicrophoneSpec microphone;
     /// Keep the raw microphone signal for later spectrogram rendering.
     bool keep_recording = false;
-    /// Runtime mode (constructor-injected): when non-null the controller
-    /// becomes a pure producer — every recorded block is forwarded to
-    /// `sink` under id `sink_mic` (from rt::StreamRuntime::add_mic) and
-    /// the inline detect/match stages are skipped.  Onsets then arrive
-    /// through the runtime's deterministic ordered merge instead of the
-    /// controller's own watch handlers and event_log().  Non-owning.
-    BlockSink* sink = nullptr;
-    std::uint32_t sink_mic = 0;
-    /// Optional health engine (non-owning).  Inline (sink-less)
-    /// controllers feed health->estimator(sink_mic) per tick and run the
-    /// alert engine at tick end; in runtime mode leave this unset and
-    /// wire the engine into the StreamRuntimeConfig instead (the sharded
-    /// workers feed it there).
+    /// This microphone's id: the `mic` of its journal records and the
+    /// index of its health estimator.
+    std::uint32_t mic = 0;
+    /// Optional health engine (non-owning).  The controller feeds
+    /// health->estimator(mic) per tick and runs the alert engine at
+    /// tick end.
     obs::Health* health = nullptr;
   };
 
@@ -85,23 +78,23 @@ class MdnController {
   /// Begins listening at the configured hop.  Listening stops when
   /// stop() is called or the event loop drains; with Clock::kOwn, a
   /// start() before the stopped series fires again resumes that series
-  /// on its phase.  Throws std::logic_error when an inline controller's
-  /// health engine has no estimator for sink_mic.
+  /// on its phase.  Throws std::logic_error when the health engine has
+  /// no estimator for the configured mic.
   void start(Clock clock = Clock::kOwn);
   void stop() noexcept { running_ = false; }
   bool running() const noexcept { return running_; }
 
   /// The first half of a tick: records the hop ending at `sim_now` off
   /// the channel, collects the tags of the emissions it overlaps (journal
-  /// on) and, inline, detects its tones.  It writes only this
+  /// on) and detects its tones.  It writes only this
   /// controller's microphone and scratch and reads its channel and
   /// detector, so other controllers may capture() concurrently while
   /// nothing else runs.  Its spans wait for publish(), which must follow
   /// on the event loop's thread.
   void capture(net::SimTime sim_now);
-  /// The second half: counts the block, runs the block observers, hands
-  /// the block to the sink or journals, matches and dispatches its
-  /// onsets, and feeds the health engine.
+  /// The second half: counts the block, runs the block observers,
+  /// journals its ingest, matches and dispatches its onsets, and feeds
+  /// the health engine.
   void publish();
 
   const ToneDetector& detector() const noexcept { return detector_; }
@@ -139,10 +132,8 @@ class MdnController {
   obs::Stage::Reading detect_reading_;
   // Ground-truth emission tags overlapping the current block, collected
   // only while the journal is enabled.  Fixed-size so the hot loop stays
-  // allocation-free; config_.sink_mic doubles as the journal mic id for
-  // inline (sink-less) controllers.  Sized for a fleet room: a dozen
-  // switches keying two tone families can overlap one 50 ms block (the
-  // rt path clamps to its own AudioBlock tag capacity separately).
+  // allocation-free.  Sized for a fleet room: a dozen switches keying two
+  // tone families can overlap one 50 ms block.
   std::array<audio::EmissionTag, 64> tag_scratch_{};
   std::size_t ntags_ = 0;
   std::vector<ToneEvent> log_;
@@ -156,7 +147,6 @@ class MdnController {
   obs::Counter* blocks_counter_;
   obs::Counter* onsets_counter_;
   obs::Stage record_;
-  obs::Stage submit_;  // span only
   obs::Stage detect_;
   obs::Stage match_;
 };

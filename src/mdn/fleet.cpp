@@ -20,10 +20,10 @@ Fleet::Fleet(net::EventLoop& loop, const FleetConfig& config)
     MdnController::Config ccfg;
     ccfg.detector.sample_rate = config_.sample_rate;
     ccfg.detector.min_amplitude = config_.detector_min_amplitude;
-    // Inline mode: sink_mic doubles as the journal mic id, giving each
-    // room's detections (and, via set_journal_mic below, its emissions)
-    // a distinct scoreboard row.
-    ccfg.sink_mic = static_cast<std::uint32_t>(r);
+    // The room index is the journal mic id, giving each room's
+    // detections (and, via set_journal_mic below, its emissions) a
+    // distinct scoreboard row.
+    ccfg.mic = static_cast<std::uint32_t>(r);
     room.controller =
         std::make_unique<MdnController>(loop_, *room.channel, ccfg);
 

@@ -9,7 +9,6 @@
 //   6. Run the event loop.
 #pragma once
 
-#include "mdn/block_sink.h"
 #include "mdn/controller.h"
 #include "mdn/ddos.h"
 #include "mdn/deployment.h"

@@ -43,8 +43,8 @@ void MicArray::ingest_event(const std::string& mic, const ToneEvent& event) {
     // Fusion link: the merged event cites the first hearing's detection
     // record; later hearings fold into the same merged event silently.
     // It is stamped at that detection (block end), not at the block
-    // start in event.time_s; there is no clock here, since inline
-    // handlers and StreamRuntime::deliver_to both feed this.
+    // start in event.time_s; there is no clock here, since controller
+    // handlers and a StreamRuntime's event handler both feed this.
     obs::JournalRecord detection;
     obs::JournalRecord rec;
     rec.kind = obs::JournalKind::kMergedEvent;

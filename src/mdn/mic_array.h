@@ -7,7 +7,9 @@
 // merged stream.  Events for the same frequency heard by several
 // microphones within a small window are fused into a single event that
 // records how many (and which) microphones heard it, so distant switches
-// only need to be in range of *some* microphone.
+// only need to be in range of *some* microphone.  When the microphones'
+// blocks are detected on an rt::StreamRuntime instead, its merged events
+// enter the same stream through ingest_event().
 #pragma once
 
 #include <functional>
@@ -39,17 +41,14 @@ class MicArray {
       : dedup_window_s_(dedup_window_s) {}
 
   /// Subscribes `controller` (one microphone) to `watch_hz` and routes
-  /// its onsets into the merged stream under `mic_name`.  When the
-  /// controller is in runtime mode (Config::sink set) its handlers never
-  /// fire; route the runtime's merged events here instead with
-  /// rt::StreamRuntime::deliver_to(array), which feeds ingest_event() in
-  /// the runtime's deterministic order.
+  /// its onsets into the merged stream under `mic_name`.
   void attach(MdnController& controller, std::span<const double> watch_hz,
               std::string mic_name);
 
   /// Feeds one onset heard by `mic` into the merged stream — the entry
-  /// point used by attach()'s handlers and by the streaming runtime's
-  /// ordered merge.
+  /// point used by attach()'s handlers.  A caller running detection on
+  /// rt::StreamRuntime calls it from the runtime's on_event() handler,
+  /// which delivers merged events in the runtime's deterministic order.
   void ingest_event(const std::string& mic, const ToneEvent& event);
 
   /// Fires once per *merged* event, on first hearing.

@@ -41,7 +41,7 @@ void Port::start_transmission(Packet pkt) {
   tx_bytes_ += pkt.size_bytes;
   ++tx_packets_;
   loop_.schedule_in(tx, [this, pkt = std::move(pkt)]() mutable {
-    link_->deliver_to_peer(end_, std::move(pkt));
+    link_->forward_to_peer(end_, std::move(pkt));
     transmission_complete();
   });
 }
@@ -78,7 +78,7 @@ SimTime Link::transmit_time(std::uint32_t bytes) const noexcept {
   return from_seconds(seconds);
 }
 
-void Link::deliver_to_peer(int from_end, Packet pkt) {
+void Link::forward_to_peer(int from_end, Packet pkt) {
   if (!up_) {
     ++lost_packets_;
     return;

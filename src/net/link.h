@@ -117,7 +117,7 @@ class Link {
   friend class Port;
 
   /// Schedules delivery of `pkt` to the peer of `from_end`.
-  void deliver_to_peer(int from_end, Packet pkt);
+  void forward_to_peer(int from_end, Packet pkt);
 
   EventLoop& loop_;
   double rate_bps_;

@@ -9,7 +9,7 @@
 //
 //   mp::PiSpeakerBridge       kToneEmitted    (ground truth: sim_ns, Hz)
 //        │ EmissionTag rides the audio::AcousticChannel emission and the
-//        │ recorded block metadata (BlockSink / rt::AudioBlock)
+//        │ recorded block's tags (MdnController / rt::AudioBlock)
 //   MdnController / rt submit kBlockIngested  (a tagged block was captured;
 //        │                    cause = first tagged emission, aux = seq)
 //   rt::StreamRuntime         kBlockDropped   (backpressure ate a tone)

@@ -12,11 +12,6 @@ std::uint32_t OrderedMerge::add_source() {
   return static_cast<std::uint32_t>(done_through_.size() - 1);
 }
 
-std::size_t OrderedMerge::source_count() const {
-  common::MutexLock lock(mu_);
-  return done_through_.size();
-}
-
 void OrderedMerge::push(const StreamEvent& event) {
   common::MutexLock lock(mu_);
   pending_.push_back(event);

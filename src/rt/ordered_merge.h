@@ -66,8 +66,6 @@ class OrderedMerge {
   /// are added while the runtime is being wired, before workers start.
   std::uint32_t add_source();
 
-  std::size_t source_count() const;
-
   /// Buffers `event` for ordered release.  Workers must push all events
   /// of a block *before* advancing past it.
   void push(const StreamEvent& event);

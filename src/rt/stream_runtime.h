@@ -9,7 +9,7 @@
 //        ▼
 //   per-mic lock-free ring (rt/ring_buffer.h, bounded, drop policy)
 //        ▼
-//   sharded worker pool (rt/worker_pool.h) — shared const ToneDetector,
+//   sharded workers — shared const ToneDetector and WatchMatcher,
 //        │  per-thread FFT scratch, per-mic onset state
 //        ▼
 //   ordered merge (rt/ordered_merge.h) — deterministic (seq, mic, watch)
@@ -17,6 +17,15 @@
 //   poll()/finish() — events delivered on the owner thread, in an order
 //        that is bit-identical to the single-threaded MdnController path
 //        regardless of worker count (given the lossless kBlock policy).
+//
+// Microphones are sharded over workers by `mic % workers`, so every
+// microphone's blocks are consumed by exactly one thread: the per-mic
+// ring stays single-producer/single-consumer on the hot path, and the
+// per-mic onset flags (which watch frequencies were present in the
+// previous block) need no synchronisation at all.  The detector's
+// detect_into() is thread-safe with thread-local scratch (see
+// tone_detector.h).  A caller feeding a core::MicArray routes merged
+// events from on_event() into MicArray::ingest_event().
 //
 // Backpressure is explicit: every ring is fixed-capacity and the drop
 // policy (Block / DropOldest / DropNewest) decides what happens when a
@@ -26,24 +35,51 @@
 // ("rt/worker/<t>/block_wall_ns").
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
-#include "mdn/block_sink.h"
+#include "audio/emission_tag.h"
+#include "common/annotations.h"
 #include "mdn/tone_detector.h"
+#include "obs/health.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "rt/ordered_merge.h"
-#include "rt/worker_pool.h"
-
-namespace mdn::core {
-class MicArray;
-}  // namespace mdn::core
+#include "rt/ring_buffer.h"
 
 namespace mdn::rt {
+
+/// How submit behaves when a microphone's ring is full.
+enum class DropPolicy {
+  kBlock,       ///< spin until the worker frees a slot (lossless)
+  kDropOldest,  ///< reclaim the stalest queued block, keep the new one
+  kDropNewest,  ///< discard the incoming block, keep the queue
+};
+
+/// One microphone block in flight: per-mic sequence number, source id,
+/// block start time and the samples (a recycled buffer owned by value).
+/// `tags` carries up to 8 ground-truth emission tags overlapping the
+/// block (journal provenance; fixed-size so the ring slot stays
+/// allocation-free and trivially recyclable).
+struct AudioBlock {
+  std::uint64_t seq = 0;
+  std::uint32_t mic = 0;
+  double start_s = 0.0;
+  std::vector<double> samples;
+  std::array<audio::EmissionTag, 8> tags{};
+  std::uint8_t tag_count = 0;
+  /// kBlockIngested journal id minted at submit (0 = journal off or
+  /// untagged block); rides to the worker so detections can cite the
+  /// capture hop via StreamEvent::ingest.
+  std::uint64_t ingest = 0;
+};
 
 struct StreamRuntimeConfig {
   std::size_t workers = 2;
@@ -58,7 +94,8 @@ struct StreamRuntimeConfig {
   /// per-mic signal estimators on the hot path; poll()/finish() run the
   /// alert engine on the owner thread.  Wire health->add_mic() in the
   /// same order as StreamRuntime::add_mic() — start() verifies the
-  /// counts line up.
+  /// counts line up.  Each mic's estimator is touched only by the
+  /// worker owning that mic, preserving the single-writer contract.
   obs::Health* health = nullptr;
 };
 
@@ -70,10 +107,10 @@ struct StreamRuntimeStats {
   std::uint64_t delivered = 0;  ///< merged events handed to poll()/handler
 };
 
-class StreamRuntime final : public core::BlockSink {
+class StreamRuntime {
  public:
   explicit StreamRuntime(StreamRuntimeConfig config);
-  ~StreamRuntime() override;
+  ~StreamRuntime();
 
   StreamRuntime(const StreamRuntime&) = delete;
   StreamRuntime& operator=(const StreamRuntime&) = delete;
@@ -91,12 +128,11 @@ class StreamRuntime final : public core::BlockSink {
   using Handler = std::function<void(const StreamEvent&)>;
   void on_event(Handler handler) { handler_ = std::move(handler); }
 
-  /// Routes merged events into a MicArray (as if each controller had
-  /// heard its own onsets serially): array.ingest_event(mic_name, event)
-  /// per merged event, in canonical order.
-  void deliver_to(core::MicArray& array);
-
-  /// Spawns the worker pool.  Topology (mics, handler) is frozen.
+  /// Spawns the workers and blocks until every one has finished its
+  /// thread-local warm-up (plan tables, SIMD dispatch, detect scratch),
+  /// so the multi-millisecond first-detect costs land here — before the
+  /// caller starts timing — not in the first processed block.  Topology
+  /// (mics, handler) is frozen.
   void start();
 
   /// Producer hot path; safe from one thread per microphone.  Returns
@@ -105,13 +141,13 @@ class StreamRuntime final : public core::BlockSink {
   /// before start() (blocks queue up for the workers), illegal after
   /// finish(); submitting to a full ring under kBlock before start()
   /// spins until workers exist.  A mic id add_mic() never returned
-  /// throws std::out_of_range.  `tags` (at most 8 kept) are the
-  /// ground-truth emission ids overlapping the block; a drop mints a
-  /// journal record citing them, a detection cites the matching one.
-  using core::BlockSink::submit_block;
+  /// throws std::out_of_range.  The samples are copied before
+  /// returning.  `tags` (at most 8 kept) are the ground-truth emission
+  /// ids overlapping the block; a drop mints a journal record citing
+  /// them, a detection cites the matching one.
   bool submit_block(std::uint32_t mic, double start_s,
                     std::span<const double> samples,
-                    std::span<const audio::EmissionTag> tags) override;
+                    std::span<const audio::EmissionTag> tags = {});
 
   /// Releases every merge-complete event: appends to events() (unless
   /// record_events is off) and invokes the handler.  Returns the number
@@ -131,24 +167,42 @@ class StreamRuntime final : public core::BlockSink {
 
   StreamRuntimeStats stats() const;
   const StreamRuntimeConfig& config() const noexcept { return config_; }
-  const core::ToneDetector& detector() const noexcept { return detector_; }
-  bool started() const noexcept { return started_; }
-  bool finished() const noexcept { return finished_; }
 
  private:
+  /// The SPSC lane between one microphone's producer and its shard
+  /// worker.
+  struct MicQueue {
+    explicit MicQueue(std::size_t capacity) : ring(capacity) {}
+    RingBuffer<AudioBlock> ring;
+    obs::Gauge* depth = nullptr;  ///< "rt/mic/<i>/queue_depth"
+  };
+
   std::vector<double> acquire_buffer();
+  /// Producers promise not to submit again; workers drain their rings,
+  /// close their microphones in the merge and exit.  Joins them.
+  void stop_workers() noexcept;
+  void run_worker(std::size_t index);
+  /// The worker-side hot path for one block: detect into `tones` (the
+  /// worker's grow-once vector), match, merge-push, advance the mic's
+  /// watermark and recycle the sample buffer, timed by the worker's
+  /// `wall` stage.  Steady-state allocation-free (audited in tests/rt).
+  MDN_REALTIME void process_block(AudioBlock& block,
+                                  std::vector<core::DetectedTone>& tones,
+                                  std::vector<char>& active,
+                                  const obs::Stage& wall);
 
   StreamRuntimeConfig config_;
   core::ToneDetector detector_;
-  // Configured block length in seconds: stamps ingest and detection
-  // records at block end.
+  // The watch list; onset matching uses the detector's tolerance.
+  const core::WatchMatcher matcher_;
+  // Configured block length in seconds: stamps ingest, drop and
+  // detection records at block end.
   double block_s_;
   std::vector<std::string> mic_names_;
   std::vector<std::unique_ptr<MicQueue>> queues_;
   std::vector<std::uint64_t> next_seq_;  // per mic, producer side
   OrderedMerge merge_;
   std::unique_ptr<RingBuffer<std::vector<double>>> free_buffers_;
-  std::unique_ptr<WorkerPool> pool_;
   Handler handler_;
   std::vector<StreamEvent> events_;
   std::vector<StreamEvent> ready_scratch_;
@@ -156,13 +210,24 @@ class StreamRuntime final : public core::BlockSink {
   bool started_ = false;
   bool finished_ = false;
 
+  // active_[mic][watch]: tone present in the previous block.  Each row is
+  // touched only by the worker that owns the microphone.
+  std::vector<std::vector<char>> active_;
+  std::atomic<bool> producers_done_{false};
+  std::atomic<std::size_t> warmed_{0};
+
   std::atomic<std::uint64_t> submitted_{0};
+  std::atomic<std::uint64_t> processed_{0};
   std::atomic<std::uint64_t> dropped_oldest_{0};
   std::atomic<std::uint64_t> dropped_newest_{0};
   std::uint64_t delivered_ = 0;
   obs::Counter* submitted_counter_;
+  obs::Counter* processed_counter_;
+  obs::Counter* events_counter_;
   obs::Counter* drops_oldest_counter_;
   obs::Counter* drops_newest_counter_;
+  // Last: the workers use every member above.
+  std::vector<std::thread> threads_;
 };
 
 }  // namespace mdn::rt

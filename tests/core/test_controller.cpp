@@ -182,7 +182,7 @@ TEST_F(ControllerFixture, StartThrowsWhenHealthHasNoEstimatorForTheMic) {
   obs::Health health;
   auto cfg = config();
   cfg.health = &health;
-  cfg.sink_mic = 0;
+  cfg.mic = 0;
   MdnController ctl(loop, channel, cfg);
   EXPECT_THROW(ctl.start(), std::logic_error);
   EXPECT_FALSE(ctl.running());
@@ -249,9 +249,9 @@ TwoRoomRun run_two_rooms(bool split) {
   audio::AcousticChannel* rooms[2] = {&room0, &room1};
   MdnController::Config cfg;
   cfg.detector.sample_rate = kSampleRate;
-  cfg.sink_mic = 0;
+  cfg.mic = 0;
   MdnController ctl0(loop, room0, cfg);
-  cfg.sink_mic = 1;
+  cfg.mic = 1;
   MdnController ctl1(loop, room1, cfg);
   MdnController* ctls[2] = {&ctl0, &ctl1};
   for (MdnController* ctl : ctls) {

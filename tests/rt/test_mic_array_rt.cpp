@@ -1,9 +1,10 @@
 // MicArray × StreamRuntime integration: 8 microphones share one
 // acoustic channel; the serial path (each MdnController detecting
-// inline) and the runtime path (controllers as pure producers, sharded
-// workers, ordered merge feeding MicArray::ingest_event) must produce
-// *identical* MergedEvent streams — same order, same doubles, same
-// first_mic attributions — at every worker count.
+// inline) and the runtime path (the same microphones recorded per hop
+// and submitted to the runtime, sharded workers, ordered merge feeding
+// MicArray::ingest_event) must produce *identical* MergedEvent streams —
+// same order, same doubles, same first_mic attributions — at every
+// worker count.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -100,21 +101,37 @@ std::vector<core::MicArray::MergedEvent> runtime_run(std::size_t workers) {
   StreamRuntime runtime(rcfg);
 
   core::MicArray array;
+  std::vector<audio::Microphone> mics;
   for (std::size_t m = 0; m < kMics; ++m) {
-    auto cfg = mic_config(m);
-    cfg.sink = &runtime;
-    cfg.sink_mic = runtime.add_mic("mic-" + std::to_string(m));
-    s.controllers.push_back(
-        std::make_unique<core::MdnController>(s.loop, s.channel, cfg));
-    // attach() registers the microphone and its watches; in runtime mode
-    // those inline handlers never fire — the merge feeds the array.
-    array.attach(*s.controllers.back(), s.watch, "mic-" + std::to_string(m));
+    runtime.add_mic("mic-" + std::to_string(m));
+    mics.emplace_back(mic_config(m).microphone, kSampleRate);
   }
-  runtime.deliver_to(array);
+  runtime.on_event([&](const StreamEvent& e) {
+    array.ingest_event(runtime.mic_name(e.mic),
+                       core::ToneEvent{e.time_s, e.frequency_hz,
+                                       e.amplitude, e.cause});
+  });
   runtime.start();
-  for (auto& c : s.controllers) c->start();
   emit_schedule(s.channel, s.sources, s.plan, s.devices);
-  s.run(1.4);
+
+  // The controllers' hop series, run by hand: every hop records each
+  // microphone's last hop_s off the channel and submits it, until the
+  // same stop time as the serial run.
+  const double hop_s = mic_config(0).hop_s;
+  bool listening = true;
+  s.loop.schedule_periodic(
+      net::from_seconds(hop_s), net::from_seconds(hop_s), [&] {
+        if (!listening) return false;
+        const double start_s = net::to_seconds(s.loop.now()) - hop_s;
+        for (std::uint32_t m = 0; m < kMics; ++m) {
+          const audio::Waveform block =
+              mics[m].record(s.channel, start_s, hop_s);
+          runtime.submit_block(m, start_s, block.samples());
+        }
+        return true;
+      });
+  s.loop.schedule_at(net::from_seconds(1.4), [&] { listening = false; });
+  s.loop.run();
   runtime.finish();
   return array.events();
 }

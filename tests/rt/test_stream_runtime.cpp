@@ -8,7 +8,11 @@
 
 #include <cmath>
 #include <numbers>
+#include <span>
 #include <vector>
+
+#include "net/sim_time.h"
+#include "obs/journal.h"
 
 namespace mdn::rt {
 namespace {
@@ -213,6 +217,52 @@ TEST(StreamRuntime, DropOldestKeepsTheLatestBlocks) {
   EXPECT_TRUE(runtime.events().empty());  // only silence survived
 }
 
+// A dropped block's journal record cites the emissions the block carried,
+// so it must not sort before them: explain() from the drop ends on the
+// drop.  Each block's emission starts 30 ms into it, after the block
+// start and before its end.
+TEST(StreamRuntime, DropRecordIsStampedNoEarlierThanItsCause) {
+  obs::Journal& journal = obs::Journal::global();
+  for (DropPolicy policy : {DropPolicy::kDropNewest, DropPolicy::kDropOldest}) {
+    SCOPED_TRACE(policy == DropPolicy::kDropNewest ? "kDropNewest"
+                                                   : "kDropOldest");
+    journal.enable(1024);
+    journal.clear();
+    auto cfg = base_config(1);
+    cfg.ring_capacity = 2;
+    cfg.drop_policy = policy;
+    {
+      StreamRuntime runtime(cfg);
+      const auto mic = runtime.add_mic("m");
+      // Workers not started: the third and fourth blocks meet a full ring.
+      for (std::uint64_t hop = 0; hop < 4; ++hop) {
+        const double start_s = static_cast<double>(hop) * kHopS;
+        obs::JournalRecord emitted;
+        emitted.kind = obs::JournalKind::kToneEmitted;
+        emitted.sim_ns = net::from_seconds(start_s + 0.03);
+        emitted.frequency_hz = 800.0;
+        const audio::EmissionTag tag{journal.append(emitted), 800.0};
+        runtime.submit_block(mic, start_s, tone_block(800.0),
+                             std::span<const audio::EmissionTag>(&tag, 1));
+      }
+      runtime.finish();
+    }
+    std::size_t drops = 0;
+    for (const obs::JournalRecord& rec : journal.snapshot()) {
+      if (rec.kind != obs::JournalKind::kBlockDropped) continue;
+      ++drops;
+      obs::JournalRecord cause;
+      ASSERT_TRUE(journal.find(rec.cause, &cause)) << "drop #" << rec.id;
+      EXPECT_GE(rec.sim_ns, cause.sim_ns) << "drop #" << rec.id;
+      EXPECT_EQ(journal.explain(rec.id).back().id, rec.id)
+          << "drop #" << rec.id;
+    }
+    EXPECT_EQ(drops, 2u);
+  }
+  journal.disable();
+  journal.clear();
+}
+
 TEST(StreamRuntime, HandlerSeesEventsInCanonicalOrder) {
   auto cfg = base_config(3);
   std::vector<StreamEvent> seen;
@@ -315,6 +365,34 @@ TEST(StreamRuntime, BlockSubmittedJustBeforeFinishIsProcessed) {
     ASSERT_EQ(runtime.stats().processed, 1u) << "cycle " << cycle;
     ASSERT_EQ(runtime.stats().delivered, 1u) << "cycle " << cycle;
   }
+}
+
+// Destroying a started runtime without finish() stops and joins its
+// workers (they drain every ring first) and delivers nothing: objects the
+// handler refers to may already be gone.
+TEST(StreamRuntime, DestroyWithoutFinishJoinsWorkersAndDeliversNothing) {
+  const obs::Counter& processed =
+      obs::Registry::global().counter("rt/runtime/blocks_processed");
+  const std::uint64_t before = processed.value();
+  constexpr std::uint32_t kMics = 3;
+  constexpr std::uint64_t kHops = 8;
+  std::size_t delivered = 0;
+  {
+    StreamRuntime runtime(base_config(2));
+    for (std::uint32_t m = 0; m < kMics; ++m) {
+      runtime.add_mic(std::string("m").append(std::to_string(m)));
+    }
+    runtime.on_event([&delivered](const StreamEvent&) { ++delivered; });
+    runtime.start();
+    for (std::uint64_t hop = 0; hop < kHops; ++hop) {
+      for (std::uint32_t mic = 0; mic < kMics; ++mic) {
+        runtime.submit_block(mic, static_cast<double>(hop) * kHopS,
+                             tone_block(800.0));
+      }
+    }
+  }
+  EXPECT_EQ(delivered, 0u);
+  EXPECT_EQ(processed.value() - before, kMics * kHops);
 }
 
 TEST(StreamRuntime, MicNamesRoundTrip) {
